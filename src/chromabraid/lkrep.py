@@ -11,11 +11,24 @@ for 1 <= j < k <= n.  A generator sigma_i sends x_{j,k} to
     -t q^2 x_{j,k}                                i = j = k-1
 
 and the rules for sigma_i^-1 are obtained by solving the six cases above.
-Matrices are stored exactly: an entry is a Laurent polynomial held as an
-integer window indexed by (q exponent, t exponent).  A word of length L
-only ever reaches q exponents in [-2L, 2L] and t exponents in [-L, L], and
-the coefficient magnitudes stay below 5^L, so int64 is exact up to L = 22;
-longer words fall back to Python integers via an object array.
+
+equal_via_representation decides equality in two stages.
+
+1. DISTINCT certificate.  Substituting fixed non-zero residues for q and t
+   modulo the prime P = 2^61 - 1 is a ring homomorphism from Z[q^+-1, t^+-1]
+   to the field Z/P, so M(u) = M(v) forces y M(u) = y M(v) mod P for any
+   fixed row vector y.  The rows cost O(L n) integer operations; when they
+   differ the matrices differ, and by faithfulness the braids differ, so a
+   DISTINCT verdict from this stage is exact.  Equal rows prove nothing
+   (they almost never occur for distinct braids, by Schwartz-Zippel) and
+   the pair goes on to stage 2.
+2. Exact matrices.  An entry is a Laurent polynomial held as an integer
+   window indexed by (q exponent, t exponent).  After k letters only q
+   exponents in [-2k, 2k] and t exponents in [-k, k] can be non-zero, so
+   each letter updates only that live box of the window.  A word of length
+   L therefore stays inside a (4L+1, 2L+1) window, and the coefficient
+   magnitudes stay below 5^L, so int64 is exact up to L = 22; longer words
+   fall back to Python integers via an object array.
 
 Only whole-matrix equality is consumed downstream, so the left/right action
 convention is immaterial: word reversal preserves equality in B_n.
@@ -31,6 +44,13 @@ from .errors import StrandMismatchError
 from .words import BraidWord
 
 _INT64_MAX_LEN = 22
+
+# The certificate's field Z/P and its fixed point: q, t and the row vector
+# y_r = Y^(r+1), all non-zero residues.
+_P = 2**61 - 1
+_AT_Q = 736681097588286491
+_AT_T = 2193646641555496796
+_AT_Y = 1492337387635134525
 
 # Monomial lists as (coefficient, q exponent, t exponent).
 _ONE = ((1, 0, 0),)
@@ -106,6 +126,34 @@ def _column_rules(n: int, letter: int):
     return tuple(rules)
 
 
+@lru_cache(maxsize=None)
+def _column_values(n: int, letter: int):
+    """_column_rules(n, letter) with each monomial list evaluated at the
+    certificate's point modulo _P."""
+    return tuple(
+        (c, tuple(
+            (s, sum(coef * pow(_AT_Q, dq, _P) * pow(_AT_T, dt, _P)
+                    for coef, dq, dt in monos) % _P)
+            for s, monos in terms
+        ))
+        for c, terms in _column_rules(n, letter)
+    )
+
+
+def _certificate(w: BraidWord) -> list[int]:
+    """The row y M(w) modulo _P, evaluated at the certificate's point."""
+    m = w.strands * (w.strands - 1) // 2
+    row = [pow(_AT_Y, r + 1, _P) for r in range(m)]
+    for letter in w.letters:
+        new_cols = [
+            (c, sum(row[s] * value for s, value in terms) % _P)
+            for c, terms in _column_values(w.strands, letter)
+        ]
+        for c, value in new_cols:
+            row[c] = value
+    return row
+
+
 def _shift_add(dst: np.ndarray, src: np.ndarray, coef: int, dq: int, dt: int):
     """dst += coef * q^dq t^dt * src, on exponent-window arrays (..., NQ, NT)."""
     nq, nt = src.shape[-2], src.shape[-1]
@@ -136,27 +184,35 @@ def lk_matrix(w: BraidWord, length_budget: int | None = None) -> np.ndarray:
     q0, t0 = 2 * budget, budget
     for r in range(m):
         mat[r, r, q0, t0] = 1
-    for letter in w.letters:
+    for k, letter in enumerate(w.letters, 1):
+        # the live box after k letters; a letter shifts by |dq| <= 2, |dt| <= 1
+        box = mat[:, :, q0 - 2 * k:q0 + 2 * k + 1, t0 - k:t0 + k + 1]
         new_cols = []
         for c, terms in _column_rules(n, letter):
-            acc = np.zeros((m, nq, nt), dtype=dtype)
+            acc = np.zeros_like(box[:, c])
             for s, monos in terms:
                 for coef, dq, dt in monos:
-                    _shift_add(acc, mat[:, s], coef, dq, dt)
+                    _shift_add(acc, box[:, s], coef, dq, dt)
             new_cols.append((c, acc))
         for c, acc in new_cols:
-            mat[:, c] = acc
+            box[:, c] = acc
     return mat
 
 
 def equal_via_representation(u: BraidWord, v: BraidWord) -> bool:
-    """Exact comparison of representation matrices; agrees with equal_in_Bn."""
+    """Exact comparison of representation matrices; agrees with equal_in_Bn.
+
+    Differing certificate rows decide DISTINCT; otherwise the exact matrices
+    decide.
+    """
     if u.strands != v.strands:
         raise StrandMismatchError(
             f"comparing words on {u.strands} and {v.strands} strands"
         )
     if u.strands == 1:
         return True
+    if _certificate(u) != _certificate(v):
+        return False
     budget = max(len(u.letters), len(v.letters), 1)
     return np.array_equal(
         lk_matrix(u, length_budget=budget), lk_matrix(v, length_budget=budget)

@@ -3,11 +3,25 @@
 Acceptance tests record a verdict per criterion number; the summary hook
 prints one CRITERION line for each of the ten, including criteria whose
 test errored before recording (reported as FAIL).
+
+Property tests run under a fixed hypothesis profile: derandomized, no
+per-example deadline (timings drift on a loaded host) and no example
+database, so every run draws the same examples.
 """
 
 from __future__ import annotations
 
 import pytest
+
+try:
+    from hypothesis import settings
+except ImportError:  # the property-test module skips itself without hypothesis
+    pass
+else:
+    settings.register_profile(
+        "chromabraid", derandomize=True, deadline=None, max_examples=60, database=None
+    )
+    settings.load_profile("chromabraid")
 
 CRITERIA = range(1, 11)
 _results: dict[int, bool] = {}

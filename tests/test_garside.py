@@ -5,8 +5,8 @@ from itertools import product
 
 import pytest
 
-from chromabraid import _garside_py
-from chromabraid.errors import StrandMismatchError
+from chromabraid import _garside_py, _kernel
+from chromabraid.errors import IndexRangeError, StrandMismatchError
 from chromabraid.garside import (
     NormalForm,
     conjugate,
@@ -217,6 +217,10 @@ class TestEquality:
             assert a.factors == b.factors
 
 
+# letters outside 0 < |k| < 3: neither lane checks them itself
+OUT_OF_RANGE = [(0,), (3,), (-3,)]
+
+
 class TestKernelLanes:
     def test_lanes_agree(self):
         _garside_cy = pytest.importorskip("chromabraid._garside_cy")
@@ -229,6 +233,18 @@ class TestKernelLanes:
             )
             assert _garside_py.left_normal_form(n, letters) == _garside_cy.left_normal_form(n, letters)
             assert _garside_py.crossing_counts(n, letters) == _garside_cy.crossing_counts(n, letters)
+        for letters in OUT_OF_RANGE:
+            for lane in (_garside_py, _garside_cy):
+                for fn in (lane.left_normal_form, lane.crossing_counts):
+                    with pytest.raises(IndexRangeError):
+                        _kernel._validated(fn)(3, letters)
+
+    @pytest.mark.parametrize("letters", OUT_OF_RANGE)
+    def test_kernel_rejects_out_of_range_letters(self, letters):
+        with pytest.raises(IndexRangeError):
+            _kernel.left_normal_form(3, letters)
+        with pytest.raises(IndexRangeError):
+            _kernel.crossing_counts(3, letters)
 
     def test_kernel_selection_reports(self):
         from chromabraid._kernel import KERNEL

@@ -74,3 +74,16 @@ class TestWindows:
     def test_dtype_threshold(self):
         short = lk_matrix(BraidWord(3, (1,) * 22))
         assert short.dtype == np.int64
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize(
+        "letters", [(1,) * 22, (-1,) * 22, (1, 2) * 11, (1, -2) * 11]
+    )
+    def test_int64_bound_is_exact(self, n, letters):
+        # the longest int64 word must match the exact object-dtype matrix,
+        # whose one-letter-wider window is centred on the same origin
+        w = BraidWord(n, letters)
+        narrow, wide = lk_matrix(w, length_budget=22), lk_matrix(w, length_budget=23)
+        assert narrow.dtype == np.int64 and wide.dtype == object
+        assert np.array_equal(narrow, wide[..., 2:91, 1:46])
+        assert np.abs(wide).max() < 2**63
