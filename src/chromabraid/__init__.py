@@ -36,8 +36,6 @@ from .errors import (
     StrandMismatchError,
 )
 from .extension import (
-    Cocycle,
-    CyclicBraidElement,
     compute_cocycle,
     inv,
     mul,

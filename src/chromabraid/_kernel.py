@@ -1,8 +1,5 @@
 """Kernel selection: compiled lane when present, pure lane otherwise.
 
-Set CHROMABRAID_PURE to any non-empty value to force the pure lane even
-when the extension module is installed (used by the benchmark and tests).
-
 Neither lane checks its letters (the compiled one indexes without bounds
 checks), so both entry points reject letters outside 0 < |k| < n here,
 before either lane runs.
@@ -11,23 +8,17 @@ before either lane runs.
 from __future__ import annotations
 
 import functools
-import os
 
 from .errors import IndexRangeError
 
-if os.environ.get("CHROMABRAID_PURE"):
-    from . import _garside_py as _impl
+try:
+    from . import _garside_cy as _impl
+
+    KERNEL = "compiled"
+except ImportError:
+    from . import _garside_py as _impl  # type: ignore[no-redef]
 
     KERNEL = "pure"
-else:
-    try:
-        from . import _garside_cy as _impl  # type: ignore[no-redef]
-
-        KERNEL = "compiled"
-    except ImportError:
-        from . import _garside_py as _impl  # type: ignore[no-redef]
-
-        KERNEL = "pure"
 
 
 @functools.lru_cache(maxsize=None)

@@ -117,6 +117,9 @@ class ChromaticElement:
                 f"{self.aut.one_line()} is not an automorphism of the graph"
             )
 
+    def is_identity(self) -> bool:
+        return self.vector.is_zero() and self.aut.is_identity()
+
     def __str__(self) -> str:
         coords = ",".join(str(c) for c in self.vector.coords)
         image = ",".join(str(v) for v in self.aut.image)

@@ -2,7 +2,8 @@
 
 B(C_n) sits in a split short exact sequence between the free abelian pure
 part Z^n (edge vectors over the cycle) and the dihedral automorphism group
-of the cycle.  An element is a pair (vector, dihedral); multiplication
+of the cycle.  An element is the pair (edge vector, automorphism) that
+chromatic.i_star returns, a ChromaticElement over cycle(n); multiplication
 twists by the dihedral edge action and a 2-cocycle measured from the
 distinguished section psi(a^k b^e) = psi(a)^k psi(b)^e:
 
@@ -16,88 +17,43 @@ which the test suite checks over random admissible words.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 
 from .chromatic import (
+    ChromaticElement,
     EdgeVector,
     dihedral_section_word,
     edge_action,
     edge_lk,
+    equal_in_BGamma,
     i_star,
-    zero_vector,
 )
 from .errors import IndexRangeError, StrandMismatchError
-from .graphs import DihedralElement, SimpleGraph, cycle
+from .graphs import DihedralElement, cycle
+from .presentations import cyclic_relations, edge_generator_name, substitute
 from .report import CheckLine, Report
 from .words import (
     BraidWord,
+    Permutation,
     concat,
     inverse,
-    power,
     psi_a_word,
     psi_b_word,
-    psi_r,
-    psi_s,
     s_word,
 )
 
 
-@dataclass(frozen=True)
-class CyclicBraidElement:
-    vector: EdgeVector
-    dihedral: DihedralElement
-
-    def __post_init__(self):
-        n = self.dihedral.order
-        if self.vector.graph != cycle(n):
-            raise StrandMismatchError(
-                "edge vector is not over the cycle graph of the dihedral order"
-            )
-
-    @property
-    def order(self) -> int:
-        return self.dihedral.order
-
-    @staticmethod
-    def identity(n: int) -> CyclicBraidElement:
-        return CyclicBraidElement(zero_vector(cycle(n)), DihedralElement.identity(n))
-
-    def __mul__(self, other: CyclicBraidElement) -> CyclicBraidElement:
-        return mul(self, other)
-
-    def inverse(self) -> CyclicBraidElement:
-        return inv(self)
-
-    def is_identity(self) -> bool:
-        return self.vector.is_zero() and self.dihedral.is_identity()
-
-    def __str__(self) -> str:
-        coords = ",".join(str(c) for c in self.vector.coords)
-        image = ",".join(str(v) for v in self.dihedral.to_perm().image)
-        return f"[{coords}|{image}]"
-
-
-class Cocycle:
-    """Full (2n) x (2n) table of section defects c(g, h), computed once per n."""
-
-    def __init__(self, order: int, table: dict):
-        self.order = order
-        self.table = table
-
-    def value(self, g: DihedralElement, h: DihedralElement) -> EdgeVector:
-        return self.table[g, h]
-
-
-def _act(g: DihedralElement, v: EdgeVector) -> EdgeVector:
+def _act(g: Permutation, v: EdgeVector) -> EdgeVector:
     # the twisting action g |> v: pull-back along g
-    return edge_action(g.inverse().to_perm(), v)
+    return edge_action(g.inverse(), v)
 
 
 @lru_cache(maxsize=None)
-def compute_cocycle(n: int) -> Cocycle:
-    """c(g, h) = edge_lk(psi(g) psi(h) psi(gh)^-1) over all dihedral pairs."""
+def compute_cocycle(n: int) -> dict[tuple[DihedralElement, DihedralElement], EdgeVector]:
+    """c(g, h) = edge_lk(psi(g) psi(h) psi(gh)^-1) over all dihedral pairs.
+
+    The cached table is shared by every caller, so it must not be mutated.
+    """
     if n < 4:
         raise IndexRangeError(f"compute_cocycle needs n >= 4, got {n}")
     G = cycle(n)
@@ -108,107 +64,62 @@ def compute_cocycle(n: int) -> Cocycle:
         for h in elements:
             w = concat(concat(lifts[g], lifts[h]), inverse(lifts[g * h]))
             table[g, h] = edge_lk(w, G)
-    return Cocycle(n, table)
+    return table
 
 
-def mul(x: CyclicBraidElement, y: CyclicBraidElement) -> CyclicBraidElement:
-    if x.order != y.order:
-        raise StrandMismatchError("multiplying elements of different orders")
-    c = compute_cocycle(x.order).value(x.dihedral, y.dihedral)
-    return CyclicBraidElement(
-        x.vector + _act(x.dihedral, y.vector) + c, x.dihedral * y.dihedral
-    )
+def _order(*xs: ChromaticElement) -> int:
+    """The n of operands that are all elements over the one cycle C_n."""
+    n = xs[0].aut.size
+    G = cycle(n) if n >= 3 else None  # no cycle graph on fewer vertices
+    if any(x.vector.graph != G for x in xs):
+        raise StrandMismatchError("operands are not elements over one cycle graph")
+    return n
 
 
-def inv(x: CyclicBraidElement) -> CyclicBraidElement:
-    g = x.dihedral
-    c = compute_cocycle(x.order).value(g, g.inverse())
+def mul(x: ChromaticElement, y: ChromaticElement) -> ChromaticElement:
+    n = _order(x, y)
+    g, h = DihedralElement.from_perm(n, x.aut), DihedralElement.from_perm(n, y.aut)
+    c = compute_cocycle(n)[g, h]
+    return ChromaticElement(x.vector + _act(x.aut, y.vector) + c, x.aut * y.aut)
+
+
+def inv(x: ChromaticElement) -> ChromaticElement:
+    n = _order(x)
+    g = DihedralElement.from_perm(n, x.aut)
+    c = compute_cocycle(n)[g, g.inverse()]
     # solve (v, g)(v', g^-1) = (0, e): v + g |> v' + c = 0
-    vec = edge_action(g.to_perm(), -(x.vector + c))
-    return CyclicBraidElement(vec, g.inverse())
+    g_inv = x.aut.inverse()
+    return ChromaticElement(_act(g_inv, -(x.vector + c)), g_inv)
 
 
-def to_element(w: BraidWord, n: int) -> CyclicBraidElement:
-    """Quotient map B(C_n) -> pairs: i_star repackaged with the dihedral coordinate."""
+def to_element(w: BraidWord, n: int) -> ChromaticElement:
+    """Quotient map B(C_n) -> pairs: the normal form i_star over the cycle."""
     if w.strands != n:
         raise StrandMismatchError(f"word on {w.strands} strands, expected {n}")
     if n < 4:
         raise IndexRangeError(f"to_element needs n >= 4, got {n}")
-    element = i_star(w, cycle(n))
-    return CyclicBraidElement(
-        element.vector, DihedralElement.from_perm(n, element.aut)
-    )
-
-
-def _nf_string(w: BraidWord, n: int) -> str:
-    return str(to_element(w, n))
+    return i_star(w, cycle(n))
 
 
 def verify_final_proposition(n: int) -> Report:
     """Check every defining relation of cyclic_braid_presentation(n) as a word
     identity in B(C_n), via equal_in_BGamma over the cycle graph.
 
-    R1: all commutators of edge generators; R2: the conjugation table for
-    psi(a) and psi(b) across every edge; R3: the three lifted relators with
-    their parity branches.  Failures become FAIL lines, not exceptions.
+    Both sides of each equation of cyclic_relations are substituted by
+    braid words: R1, the commutators of edge generators; R2, the
+    conjugation table for psi(a) and psi(b) across every edge; R3, the
+    three lifted relators with their parity branches.  Failures become FAIL
+    lines, not exceptions.
     """
     if not 4 <= n <= 12:
         raise IndexRangeError(f"verify_final_proposition needs 4 <= n <= 12, got {n}")
-    from .chromatic import equal_in_BGamma
-    from .graphs import dihedral_generators
-
     G = cycle(n)
-    edges = G.edges_sorted()
+    table = {edge_generator_name(i, j): s_word(i, j, n) for i, j in G.edges_sorted()}
+    table["psi_a"] = psi_a_word(n)
+    table["psi_b"] = psi_b_word(n)
     lines = []
-
-    def check(check_id: str, lhs: BraidWord, rhs: BraidWord):
-        lines.append(
-            CheckLine(check_id, equal_in_BGamma(lhs, rhs, G), _nf_string(lhs, n), _nf_string(rhs, n))
-        )
-
-    for (i, j), (k, l) in combinations(edges, 2):
-        u, v = s_word(i, j, n), s_word(k, l, n)
-        check(f"R1-s{i}_{j}-s{k}_{l}", concat(u, v), concat(v, u))
-
-    a_perm, b_perm = dihedral_generators(n)
-    for gen_name, lift, g in (
-        ("psi_a", psi_a_word(n), a_perm),
-        ("psi_b", psi_b_word(n), b_perm),
-    ):
-        for i, j in edges:
-            ti, tj = sorted((g.apply(i), g.apply(j)))
-            lhs = concat(concat(inverse(lift), s_word(i, j, n)), lift)
-            check(f"R2-{gen_name}-s{i}_{j}", lhs, s_word(ti, tj, n))
-
-    rot_rhs = s_word(1, n, n)
-    for k in range(n - 1, 0, -1):
-        rot_rhs = concat(rot_rhs, s_word(k, k + 1, n))
-    check(f"R3-psi_a^{n}", power(psi_a_word(n), n), rot_rhs)
-
-    r, s = psi_r(n), psi_s(n)
-    if n % 2 == 0:
-        refl_rhs = BraidWord(n)
-        mixed_rhs = concat(s_word(1, 2, n), s_word(r + 1, s, n))
-    else:
-        refl_rhs = s_word(r, s, n)
-        mixed_rhs = concat(concat(s_word(1, 2, n), s_word(r, s, n)), s_word(s, s + 1, n))
-    check("R3-psi_b^2", power(psi_b_word(n), 2), refl_rhs)
-    mixed_lhs = concat(
-        concat(psi_b_word(n), psi_a_word(n)), concat(psi_b_word(n), psi_a_word(n))
-    )
-    check("R3-(psi_b.psi_a)^2", mixed_lhs, mixed_rhs)
-
+    for check_id, *sides in cyclic_relations(n):
+        lhs, rhs = (substitute(side, table, n) for side in sides)
+        shown = (str(to_element(lhs, n)), str(to_element(rhs, n)))
+        lines.append(CheckLine(check_id, equal_in_BGamma(lhs, rhs, G), *shown))
     return Report(tuple(lines))
-
-
-def pure_kernel_iso_probe(n: int, coords: tuple[int, ...]) -> CyclicBraidElement:
-    """Element with dihedral part e and the given edge vector, built as a word.
-
-    Used by tests to confirm the kernel of the dihedral projection is the
-    full Z^n of edge vectors.
-    """
-    G = cycle(n)
-    word = BraidWord(n)
-    for (i, j), c in zip(G.edges_sorted(), coords):
-        word = concat(word, power(s_word(i, j, n), c))
-    return to_element(word, n)

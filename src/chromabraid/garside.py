@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from ._kernel import left_normal_form
 from .errors import StrandMismatchError
-from .words import BraidWord, Permutation, concat, inverse
+from .words import BraidWord, Permutation
 
 
 @dataclass(frozen=True)
@@ -89,8 +89,3 @@ def equal_via_representation(u: BraidWord, v: BraidWord) -> bool:
     from .lkrep import equal_via_representation as _impl
 
     return _impl(u, v)
-
-
-def conjugate(w: BraidWord, by: BraidWord) -> BraidWord:
-    """by^-1 w by, a convenience for the verification suites."""
-    return concat(concat(inverse(by), w), by)

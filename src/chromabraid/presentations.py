@@ -270,51 +270,61 @@ def extension_presentation(A: Presentation, G: Presentation, action, cocycle_wor
     return Presentation(A.generators + tuple(psi[t] for t in G.generators), tuple(relators))
 
 
-def cyclic_braid_presentation(n: int) -> Presentation:
-    """Presentation of the braid group conditioned by the cycle graph C_n.
+def cyclic_relations(n: int) -> list[tuple[str, Relator, Relator]]:
+    """Defining equations of the braid group conditioned by the cycle C_n.
 
-    Kernel part: one generator per cycle edge, all commutators (the kernel
-    is free abelian of rank n).  Lifts psi_a, psi_b of the dihedral
-    rotation and reflection, conjugation relators from the edge action of
-    the dihedral group, and three lifted relators recording a^n, b^2 and
-    (ba)^2 as explicit kernel words:
+    Each entry is (check id, lhs tokens, rhs tokens), in three families:
 
-        psi_a^n             = s_{1,n} s_{n-1,n} s_{n-2,n-1} ... s_{1,2}
-        psi_b^2             = e                     (n even)
-                              s_{r,r+1}             (n odd, r = (n+1)/2)
-        (psi_b psi_a)^2     = s_{1,2} s_{m,m+1}     (n even, m = (n+2)/2)
-                              s_{1,2} s_{r,r+1} s_{r+1,r+2}   (n odd)
+        R1  s_e s_f = s_f s_e for every pair of cycle edges e < f
+        R2  psi_t^-1 s_{i,j} psi_t = s_{t(i),t(j)}  for t = a, b and every edge
+        R3  psi_a^n             = s_{1,n} s_{n-1,n} s_{n-2,n-1} ... s_{1,2}
+            psi_b^2             = e                     (n even)
+                                  s_{r,r+1}             (n odd, r = (n+1)/2)
+            (psi_b psi_a)^2     = s_{1,2} s_{m,m+1}     (n even, m = (n+2)/2)
+                                  s_{1,2} s_{r,r+1} s_{r+1,r+2}   (n odd)
+
+    The check ids name the lines of verify_final_proposition.
     """
     if n < 4:
-        raise IndexRangeError(f"cyclic_braid_presentation needs n >= 4, got {n}")
-    G = cycle(n)
-    edges = G.edges_sorted()
-    gens = tuple(edge_generator_name(i, j) for i, j in edges)
-    relators: list[Relator] = [
-        commutator(x, y) for x, y in combinations(gens, 2)
-    ]
+        raise IndexRangeError(f"cyclic_relations needs n >= 4, got {n}")
+    edges = cycle(n).edges_sorted()
+    relations: list[tuple[str, Relator, Relator]] = []
+    for (i, j), (k, l) in combinations(edges, 2):
+        u, v = _band(i, j), _band(k, l)
+        relations.append((f"R1-s{i}_{j}-s{k}_{l}", (u, v), (v, u)))
     a, b = dihedral_generators(n)
     for gen_name, g in (("psi_a", a), ("psi_b", b)):
         for i, j in edges:
-            lhs = ((gen_name, -1), (edge_generator_name(i, j), 1), (gen_name, 1))
-            rhs = (_band(g.apply(i), g.apply(j)),)
-            relators.append(equation_relator(lhs, rhs))
-    rot_rhs = [_band(1, n)] + [_band(k, k + 1) for k in range(n - 1, 0, -1)]
-    relators.append(equation_relator((("psi_a", 1),) * n, rot_rhs))
+            lhs = ((gen_name, -1), _band(i, j), (gen_name, 1))
+            relations.append((f"R2-{gen_name}-s{i}_{j}", lhs, (_band(g.apply(i), g.apply(j)),)))
+    rot_rhs = (_band(1, n),) + tuple(_band(k, k + 1) for k in range(n - 1, 0, -1))
+    relations.append((f"R3-psi_a^{n}", (("psi_a", 1),) * n, rot_rhs))
     r, s = psi_r(n), psi_s(n)
     if n % 2 == 0:
-        refl_rhs: list[Token] = []
-        mixed_rhs = [_band(1, 2), _band(r + 1, s)]
+        refl_rhs: Relator = ()
+        mixed_rhs = (_band(1, 2), _band(r + 1, s))
     else:
-        refl_rhs = [_band(r, s)]
-        mixed_rhs = [_band(1, 2), _band(r, s), _band(s, s + 1)]
-    relators.append(equation_relator((("psi_b", 1), ("psi_b", 1)), refl_rhs))
-    relators.append(
-        equation_relator(
-            (("psi_b", 1), ("psi_a", 1), ("psi_b", 1), ("psi_a", 1)), mixed_rhs
-        )
-    )
-    return Presentation(gens + ("psi_a", "psi_b"), tuple(relators))
+        refl_rhs = (_band(r, s),)
+        mixed_rhs = (_band(1, 2), _band(r, s), _band(s, s + 1))
+    relations.append(("R3-psi_b^2", (("psi_b", 1),) * 2, refl_rhs))
+    relations.append(("R3-(psi_b.psi_a)^2", (("psi_b", 1), ("psi_a", 1)) * 2, mixed_rhs))
+    return relations
+
+
+def cyclic_braid_presentation(n: int) -> Presentation:
+    """Presentation of the braid group conditioned by the cycle graph C_n.
+
+    Kernel part: one generator per cycle edge, all commuting (the kernel is
+    free abelian of rank n).  Lifts psi_a, psi_b of the dihedral rotation
+    and reflection, conjugation relators from the edge action of the
+    dihedral group, and three lifted relators recording a^n, b^2 and (ba)^2
+    as explicit kernel words; one relator per equation of cyclic_relations.
+    """
+    if n < 4:
+        raise IndexRangeError(f"cyclic_braid_presentation needs n >= 4, got {n}")
+    gens = tuple(edge_generator_name(i, j) for i, j in cycle(n).edges_sorted())
+    relators = tuple(equation_relator(lhs, rhs) for _, lhs, rhs in cyclic_relations(n))
+    return Presentation(gens + ("psi_a", "psi_b"), relators)
 
 
 def substitute(rel, table: dict[str, BraidWord], n: int) -> BraidWord:

@@ -9,7 +9,6 @@ from chromabraid import _garside_py, _kernel
 from chromabraid.errors import IndexRangeError, StrandMismatchError
 from chromabraid.garside import (
     NormalForm,
-    conjugate,
     equal_in_Bn,
     finishing_set,
     is_left_weighted,
@@ -25,6 +24,11 @@ from chromabraid.words import (
     perm_of,
     power,
 )
+
+
+def conjugate(w, by):
+    """by^-1 w by."""
+    return concat(concat(inverse(by), w), by)
 
 
 def rand_word(rng, n, length):

@@ -1,0 +1,117 @@
+"""Property tests: to_element is a homomorphism onto the twisted product, and
+the Garside normal form is invariant under free cancellation and braid
+relations."""
+
+from functools import lru_cache
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, strategies as st  # noqa: E402
+
+from chromabraid.extension import inv, mul, to_element  # noqa: E402
+from chromabraid.garside import normal_form  # noqa: E402
+from chromabraid.words import (  # noqa: E402
+    BraidWord,
+    concat,
+    inverse,
+    psi_a_word,
+    psi_b_word,
+    s_word,
+)
+
+
+@lru_cache(maxsize=None)
+def admissible_pieces(n):
+    """Band generators of every pair (non-edges vanish in B(C_n)), and the
+    rotation and reflection lifts, each with their inverses."""
+    bands = [s_word(i, j, n) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    lifts = [psi_a_word(n), psi_b_word(n)]
+    return tuple(bands + [inverse(p) for p in bands]), tuple(lifts + [inverse(p) for p in lifts])
+
+
+@st.composite
+def admissible_pairs(draw):
+    n = draw(st.integers(4, 12))
+    bands, lifts = admissible_pieces(n)
+    # lifts as often as bands, so that most products are twisted
+    piece = st.one_of(st.sampled_from(bands), st.sampled_from(lifts))
+    u, w = BraidWord(n), BraidWord(n)
+    for p in draw(st.lists(piece, max_size=4)):
+        u = concat(u, p)
+    for p in draw(st.lists(piece, max_size=4)):
+        w = concat(w, p)
+    return n, u, w
+
+
+def signed_letters(n, max_len):
+    return st.lists(
+        st.integers(1, n - 1).flatmap(lambda i: st.sampled_from((i, -i))),
+        max_size=max_len,
+    ).map(tuple)
+
+
+@st.composite
+def split_words(draw, min_n=2, max_n=8, max_len=20):
+    """n and a word on n strands cut into a prefix and a suffix."""
+    n = draw(st.integers(min_n, max_n))
+    letters = draw(signed_letters(n, max_len))
+    cut = draw(st.integers(0, len(letters)))
+    return n, letters[:cut], letters[cut:]
+
+
+@given(admissible_pairs())
+def test_to_element_is_a_homomorphism(case):
+    n, u, w = case
+    x, y = to_element(u, n), to_element(w, n)
+    assert to_element(concat(u, w), n) == mul(x, y)
+
+
+@given(admissible_pairs())
+def test_inv_is_a_two_sided_inverse(case):
+    n, u, _ = case
+    x = to_element(u, n)
+    assert mul(x, inv(x)).is_identity()
+    assert mul(inv(x), x).is_identity()
+    assert inv(x) == to_element(inverse(u), n)
+
+
+@given(split_words())
+def test_word_times_inverse_is_trivial(case):
+    n, prefix, suffix = case
+    w = BraidWord(n, prefix + suffix)
+    assert normal_form(concat(w, inverse(w))).is_trivial()
+
+
+@given(split_words(), st.data())
+def test_free_insertion(case, data):
+    n, prefix, suffix = case
+    a = data.draw(st.integers(1, n - 1)) * data.draw(st.sampled_from((1, -1)))
+    assert normal_form(BraidWord(n, prefix + (a, -a) + suffix)) == normal_form(
+        BraidWord(n, prefix + suffix)
+    )
+
+
+@given(split_words(min_n=3), st.data())
+def test_braid_relation_rewrite(case, data):
+    # sigma_i sigma_{i+1} sigma_i = sigma_{i+1} sigma_i sigma_{i+1}, or its inverse
+    n, prefix, suffix = case
+    i = data.draw(st.integers(1, n - 2))
+    e = data.draw(st.sampled_from((1, -1)))
+    a, b = e * i, e * (i + 1)
+    assert normal_form(BraidWord(n, prefix + (a, b, a) + suffix)) == normal_form(
+        BraidWord(n, prefix + (b, a, b) + suffix)
+    )
+
+
+@given(split_words(min_n=4), st.data())
+def test_far_commutation_rewrite(case, data):
+    # sigma_i^d sigma_j^e = sigma_j^e sigma_i^d for |i - j| >= 2
+    n, prefix, suffix = case
+    i = data.draw(st.integers(1, n - 3))
+    j = data.draw(st.integers(i + 2, n - 1))
+    a = i * data.draw(st.sampled_from((1, -1)))
+    b = j * data.draw(st.sampled_from((1, -1)))
+    assert normal_form(BraidWord(n, prefix + (a, b) + suffix)) == normal_form(
+        BraidWord(n, prefix + (b, a) + suffix)
+    )
