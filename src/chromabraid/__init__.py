@@ -5,9 +5,8 @@ synthesizers for the classical and graph-conditioned groups, abelianized
 invariants of the pure part, and the explicit twisted-product model of the
 cycle-conditioned group with its dihedral quotient.
 
-The hot kernels (normal-form sliding, crossing simulation) run on a
-compiled Cython lane when available and an identical pure-Python lane
-otherwise; see chromabraid._kernel.KERNEL for the active lane.
+The hot kernels (normal-form sliding, crossing simulation) are pure
+Python, in chromabraid._garside_py; chromabraid.KERNEL is always "pure".
 """
 
 from ._kernel import KERNEL

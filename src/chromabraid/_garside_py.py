@@ -1,8 +1,7 @@
-"""Pure Python kernel: left-weighted normal form and crossing counts.
+"""The Garside kernel: left-weighted normal form and crossing counts.
 
-The compiled twin _garside_cy.pyx exposes the same two functions and must
-stay behaviourally identical; _kernel.py picks one at import time and the
-test suite runs them side by side.
+This is the only implementation; _kernel.py checks the letters before
+calling it, since nothing here does.
 
 Conventions inside the kernel: permutations are 0-based one-line lists
 (f[x] = image of x), composed left to right, and a factor f stands for the
@@ -76,6 +75,7 @@ def left_normal_form(n, letters):
     p = -total_neg
     neg_after = total_neg
     factors = []
+    pos = [0] * n
     for k in letters:
         i = abs(k) - 1
         if k < 0:
@@ -95,19 +95,16 @@ def left_normal_form(n, letters):
         if neg_after & 1:
             f = _tau(f, n)
         factors.append(f)
-
-    # Left weighting: sweep adjacent pairs until stable.  Each slide moves a
-    # crossing strictly left, so the process terminates; at stability Delta
-    # factors can only sit at the front and identity factors at the back.
-    pos = [0] * n
-    while True:
-        changed = False
-        for t in range(len(factors) - 1):
-            if _left_weight_pair(factors[t], factors[t + 1], pos, n):
-                changed = True
-        factors = [f for f in factors if not _is_identity(f)]
-        if not changed:
-            break
+        # Right multiplication (Epstein et al., Word Processing in Groups,
+        # ch. 9): the factors before f are left weighted, so left-weight
+        # backwards from the new pair; once a pair is unchanged, every pair
+        # before it still is.  Only the new last factor can become the
+        # identity, and Delta factors can only end up at the front.
+        t = len(factors) - 2
+        while t >= 0 and _left_weight_pair(factors[t], factors[t + 1], pos, n):
+            t -= 1
+        if _is_identity(factors[-1]):
+            factors.pop()
 
     lead = 0
     while lead < len(factors) and _is_half_twist(factors[lead], n):

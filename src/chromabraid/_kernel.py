@@ -1,24 +1,19 @@
-"""Kernel selection: compiled lane when present, pure lane otherwise.
+"""Checked entry points to the Garside kernel in _garside_py.
 
-Neither lane checks its letters (the compiled one indexes without bounds
-checks), so both entry points reject letters outside 0 < |k| < n here,
-before either lane runs.
+The kernel does not check its letters: unchecked, it reads letter 0 as
+generator index -1 and returns (1, []) for (0,) on n=3.  Both entry points
+therefore reject letters outside 0 < |k| < n here, before the kernel runs.
 """
 
 from __future__ import annotations
 
 import functools
 
+from . import _garside_py as _impl
 from .errors import IndexRangeError
 
-try:
-    from . import _garside_cy as _impl
-
-    KERNEL = "compiled"
-except ImportError:
-    from . import _garside_py as _impl  # type: ignore[no-redef]
-
-    KERNEL = "pure"
+# one kernel; the name stays because perfbench and chromabraid.KERNEL report it
+KERNEL = "pure"
 
 
 @functools.lru_cache(maxsize=None)
@@ -26,10 +21,10 @@ def _alphabet(n):
     return frozenset(range(1 - n, n)) - {0}
 
 
-def _validated(lane_fn):
-    """lane_fn(n, letters), raising IndexRangeError on a letter out of range."""
+def _validated(kernel_fn):
+    """kernel_fn(n, letters), raising IndexRangeError on a letter out of range."""
 
-    @functools.wraps(lane_fn)
+    @functools.wraps(kernel_fn)
     def checked(n, letters):
         letters = tuple(letters)
         # one set test, not a Python loop: compute_cocycle(4..12) alone sends
@@ -37,7 +32,7 @@ def _validated(lane_fn):
         if not _alphabet(n).issuperset(letters):
             bad = next(k for k in letters if k not in _alphabet(n))
             raise IndexRangeError(f"letter {bad} needs 0 < |k| < {n} on {n} strands")
-        return lane_fn(n, letters)
+        return kernel_fn(n, letters)
 
     return checked
 

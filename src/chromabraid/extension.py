@@ -17,7 +17,9 @@ which the test suite checks over random admissible words.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from functools import lru_cache
+from types import MappingProxyType
 
 from .chromatic import (
     ChromaticElement,
@@ -49,10 +51,12 @@ def _act(g: Permutation, v: EdgeVector) -> EdgeVector:
 
 
 @lru_cache(maxsize=None)
-def compute_cocycle(n: int) -> dict[tuple[DihedralElement, DihedralElement], EdgeVector]:
+def compute_cocycle(n: int) -> Mapping[tuple[DihedralElement, DihedralElement], EdgeVector]:
     """c(g, h) = edge_lk(psi(g) psi(h) psi(gh)^-1) over all dihedral pairs.
 
-    The cached table is shared by every caller, so it must not be mutated.
+    The cached table is shared by every caller, so it is returned as a
+    read-only view: a write raises TypeError instead of corrupting every
+    later mul and inv.
     """
     if n < 4:
         raise IndexRangeError(f"compute_cocycle needs n >= 4, got {n}")
@@ -64,7 +68,7 @@ def compute_cocycle(n: int) -> dict[tuple[DihedralElement, DihedralElement], Edg
         for h in elements:
             w = concat(concat(lifts[g], lifts[h]), inverse(lifts[g * h]))
             table[g, h] = edge_lk(w, G)
-    return table
+    return MappingProxyType(table)
 
 
 def _order(*xs: ChromaticElement) -> int:

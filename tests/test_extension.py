@@ -108,6 +108,14 @@ class TestCocycle:
         with pytest.raises(IndexRangeError):
             compute_cocycle(3)
 
+    def test_table_is_read_only(self):
+        # the cached table is shared by every caller, so a write must not land
+        x = to_element(psi_a_word(5), 5)
+        a = DihedralElement.from_perm(5, x.aut)
+        with pytest.raises(TypeError):
+            compute_cocycle(5)[a, a] = unit_vector(cycle(5), 1, 2)
+        assert str(mul(x, x)) == "[0,0,0,0,0|3,4,5,1,2]"
+
 
 class TestGroupLaws:
     def test_identity(self):

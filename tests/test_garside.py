@@ -1,5 +1,6 @@
-"""Left-weighted normal form: structure, invariance, and both kernel lanes."""
+"""Left-weighted normal form: structure, invariance, and the kernel."""
 
+import hashlib
 import random
 from itertools import product
 
@@ -221,27 +222,37 @@ class TestEquality:
             assert a.factors == b.factors
 
 
-# letters outside 0 < |k| < 3: neither lane checks them itself
+# letters outside 0 < |k| < 3: the kernel does not check them itself
 OUT_OF_RANGE = [(0,), (3,), (-3,)]
+
+# sha256 of the kernel's normal forms on the cases below, computed with the
+# fixpoint sweep that the one-pass kernel replaced
+NF_DIGEST = "edefb48c59f2c77da7050e9b9a7f89192c2bdd88ef5e81383376b0fb1fb2c57a"
+
+
+def digest_cases():
+    rng = random.Random(25)
+
+    def letters(n, length):
+        return tuple(rng.choice([1, -1]) * rng.randint(1, n - 1) for _ in range(length))
+
+    for _ in range(600):
+        n = rng.randint(1, 9)
+        yield n, letters(n, rng.randint(0, 40) if n > 1 else 0)
+    for _ in range(40):
+        yield 8, letters(8, rng.randint(48, 256))
 
 
 class TestKernelLanes:
-    def test_lanes_agree(self):
-        _garside_cy = pytest.importorskip("chromabraid._garside_cy")
-        rng = random.Random(25)
-        for _ in range(600):
-            n = rng.randint(1, 9)
-            length = rng.randint(0, 40) if n > 1 else 0
-            letters = tuple(
-                rng.choice([1, -1]) * rng.randint(1, n - 1) for _ in range(length)
-            )
-            assert _garside_py.left_normal_form(n, letters) == _garside_cy.left_normal_form(n, letters)
-            assert _garside_py.crossing_counts(n, letters) == _garside_cy.crossing_counts(n, letters)
+    def test_normal_form_digest(self):
+        h = hashlib.sha256()
+        for n, letters in digest_cases():
+            h.update(repr(_kernel.left_normal_form(n, letters)).encode() + b"\n")
+        assert h.hexdigest() == NF_DIGEST
         for letters in OUT_OF_RANGE:
-            for lane in (_garside_py, _garside_cy):
-                for fn in (lane.left_normal_form, lane.crossing_counts):
-                    with pytest.raises(IndexRangeError):
-                        _kernel._validated(fn)(3, letters)
+            for fn in (_garside_py.left_normal_form, _garside_py.crossing_counts):
+                with pytest.raises(IndexRangeError):
+                    _kernel._validated(fn)(3, letters)
 
     @pytest.mark.parametrize("letters", OUT_OF_RANGE)
     def test_kernel_rejects_out_of_range_letters(self, letters):
@@ -253,7 +264,7 @@ class TestKernelLanes:
     def test_kernel_selection_reports(self):
         from chromabraid._kernel import KERNEL
 
-        assert KERNEL in ("pure", "compiled")
+        assert KERNEL == "pure"
 
     def test_normal_form_dataclass(self):
         nf = NormalForm(3, 0, (Permutation((2, 1, 3)),))
