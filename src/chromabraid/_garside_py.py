@@ -13,10 +13,6 @@ position f[x].  A word sigma_{k}^{+-1} enters as the signed integer +-k
 from __future__ import annotations
 
 
-def _is_identity(f):
-    return all(f[x] == x for x in range(len(f)))
-
-
 def _is_half_twist(f, n):
     return all(f[x] == n - 1 - x for x in range(n))
 
@@ -76,6 +72,7 @@ def left_normal_form(n, letters):
     neg_after = total_neg
     factors = []
     pos = [0] * n
+    ident = list(range(n))
     for k in letters:
         i = abs(k) - 1
         if k < 0:
@@ -103,7 +100,7 @@ def left_normal_form(n, letters):
         t = len(factors) - 2
         while t >= 0 and _left_weight_pair(factors[t], factors[t + 1], pos, n):
             t -= 1
-        if _is_identity(factors[-1]):
+        if factors[-1] == ident:
             factors.pop()
 
     lead = 0

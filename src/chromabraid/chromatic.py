@@ -9,6 +9,19 @@ set, an element being the vector of halved crossing counts over the edges
 underlying permutation, section lifts an automorphism to a distinguished
 word, and i_star combines both into the normal form (edge vector,
 automorphism) that classifies elements.
+
+Crossing counts are additive along a word once the second factor is
+relabelled through the permutation of the first, C(uv) = C(u) +
+C(v).relabeled(perm(u)) (see words.CrossingMatrix), and C(s^-1) is
+-C(s) relabelled through perm(s)^-1.  For a section word s of g = perm(w)
+the two relabellings cancel, so
+
+    C(w section(g)^-1) = C(w) - C(section(g))
+
+and i_star reads the edge vector from the halved edge entries of that
+difference: one crossing count over w, with no pure word built.  On a cycle
+graph the section's counts come from dihedral_lift_counts, cached per
+dihedral element.
 """
 
 from __future__ import annotations
@@ -16,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from ._kernel import crossing_counts
 from .errors import (
     GraphInputError,
     NotAutomorphismError,
@@ -145,9 +159,14 @@ def edge_lk(w: BraidWord, G: SimpleGraph) -> EdgeVector:
     if not perm_of(w).is_identity():
         raise NotPureError("edge_lk needs a pure word")
     m = crossing_matrix(w)
+    return halved_counts(G, (m.entry(i, j) for i, j in G.edges_sorted()))
+
+
+def halved_counts(G: SimpleGraph, counts) -> EdgeVector:
+    """The edge vector of the crossing counts of a pure word, one per edge of G
+    in sorted order; a pure word crosses each pair an even number of times."""
     coords = []
-    for i, j in G.edges_sorted():
-        c = m.entry(i, j)
+    for c in counts:
         if c % 2:
             raise AssertionError("odd crossing count on a pure word")
         coords.append(c // 2)
@@ -174,6 +193,20 @@ def dihedral_section_word(d: DihedralElement) -> BraidWord:
     return w
 
 
+@lru_cache(maxsize=None)
+def dihedral_lift_counts(d: DihedralElement) -> tuple[int, ...]:
+    """Crossing counts of dihedral_section_word(d) on the edges of cycle(n),
+    in sorted edge order; cached per element, so bounded by the 2n per n."""
+    n = d.order
+    m = crossing_counts(n, dihedral_section_word(d).letters)
+    return tuple(m[i - 1][j - 1] for i, j in cycle(n).edges_sorted())
+
+
+def _is_cycle(G: SimpleGraph) -> bool:
+    n = G.vertices
+    return n >= 4 and G.edges == cycle(n).edges
+
+
 def section(g: Permutation, G: SimpleGraph) -> BraidWord:
     """A word whose permutation is g, chosen canonically per graph.
 
@@ -187,7 +220,7 @@ def section(g: Permutation, G: SimpleGraph) -> BraidWord:
             f"permutation {g.one_line()} is not an automorphism of the graph"
         )
     n = G.vertices
-    if n >= 4 and G.edges == cycle(n).edges:
+    if _is_cycle(G):
         return dihedral_section_word(DihedralElement.from_perm(n, g))
     work = list(g.image)
     word = BraidWord(n)
@@ -206,8 +239,17 @@ def i_star(w: BraidWord, G: SimpleGraph) -> ChromaticElement:
     if not is_triangle_free(G):
         raise OutOfScopeError("i_star needs a triangle-free graph")
     g = phi(w, G)
-    pure_part = concat(w, inverse(section(g, G)))
-    return ChromaticElement(edge_lk(pure_part, G), g)
+    n = G.vertices
+    edges = _edge_index(G)
+    if _is_cycle(G):
+        lift = dihedral_lift_counts(DihedralElement.from_perm(n, g))
+    else:
+        s = crossing_counts(n, section(g, G).letters)
+        lift = tuple(s[i - 1][j - 1] for i, j in edges)
+    # C(w section(g)^-1) = C(w) - C(section(g)), see the module docstring
+    m = crossing_counts(n, w.letters)
+    counts = (m[i - 1][j - 1] - c for (i, j), c in zip(edges, lift))
+    return ChromaticElement(halved_counts(G, counts), g)
 
 
 def equal_in_BGamma(u: BraidWord, v: BraidWord, G: SimpleGraph) -> bool:

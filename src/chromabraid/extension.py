@@ -9,10 +9,21 @@ distinguished section psi(a^k b^e) = psi(a)^k psi(b)^e:
 
     (v1, g1)(v2, g2) = (v1 + g1 |> v2 + c(g1, g2), g1 g2)
 
-where g1 |> v is the pull-back edge_action(g1^-1, v) and c(g, h) is the
+where g1 |> v is the pull-back (g1 |> v)[e] = v[g1(e)] and c(g, h) is the
 edge vector of psi(g) psi(h) psi(gh)^-1.  The action direction is locked
 by the homomorphism property to_element(u w) = to_element(u) to_element(w),
 which the test suite checks over random admissible words.
+
+Everything here is table lookups per n, by the additivity of crossing
+counts C(uv) = C(u) + C(v).relabeled(perm(u)) (words.CrossingMatrix).  With
+a_d the edge entries of C(psi(d)) (chromatic.dihedral_lift_counts), and
+relabelling by an automorphism g acting on edge entries as g |> -,
+
+    c(g, h) = (a_g + g |> a_h - a_gh) / 2,
+
+so no word is built per pair; to_element is i_star over cycle(n), which
+reads its vector as (C(w) - a_g) / 2 on the edges; and g |> v is a gather
+through the edge-index table of g.
 """
 
 from __future__ import annotations
@@ -24,35 +35,49 @@ from types import MappingProxyType
 from .chromatic import (
     ChromaticElement,
     EdgeVector,
-    dihedral_section_word,
-    edge_action,
-    edge_lk,
+    dihedral_lift_counts,
     equal_in_BGamma,
+    halved_counts,
     i_star,
 )
-from .errors import IndexRangeError, StrandMismatchError
+from .errors import IndexRangeError, NotAutomorphismError, StrandMismatchError
 from .graphs import DihedralElement, cycle
 from .presentations import cyclic_relations, edge_generator_name, substitute
 from .report import CheckLine, Report
-from .words import (
-    BraidWord,
-    Permutation,
-    concat,
-    inverse,
-    psi_a_word,
-    psi_b_word,
-    s_word,
-)
+from .words import BraidWord, Permutation, psi_a_word, psi_b_word, s_word
+
+
+@lru_cache(maxsize=None)
+def _pullbacks(n: int) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Per dihedral permutation g of cycle(n), keyed by its image: the index
+    of the edge g(e) for each edge e in sorted order."""
+    edges = cycle(n).edges_sorted()
+    index = {e: k for k, e in enumerate(edges)}
+    table = {}
+    for d in DihedralElement.all_elements(n):
+        g = d.to_perm()
+        image = (0,) + g.image
+        table[g.image] = tuple(
+            index[min(image[i], image[j]), max(image[i], image[j])] for i, j in edges
+        )
+    return table
 
 
 def _act(g: Permutation, v: EdgeVector) -> EdgeVector:
-    # the twisting action g |> v: pull-back along g
-    return edge_action(g.inverse(), v)
+    """The twisting action g |> v over cycle(n): pull-back along g."""
+    src = _pullbacks(v.graph.vertices).get(g.image)
+    if src is None:
+        raise NotAutomorphismError(
+            f"permutation {g.one_line()} is not an automorphism of the graph"
+        )
+    coords = v.coords
+    return EdgeVector(v.graph, tuple(coords[k] for k in src))
 
 
 @lru_cache(maxsize=None)
 def compute_cocycle(n: int) -> Mapping[tuple[DihedralElement, DihedralElement], EdgeVector]:
-    """c(g, h) = edge_lk(psi(g) psi(h) psi(gh)^-1) over all dihedral pairs.
+    """c(g, h) = edge_lk(psi(g) psi(h) psi(gh)^-1) over all dihedral pairs,
+    computed as (a_g + g |> a_h - a_gh) / 2 from the lifts' crossing counts.
 
     The cached table is shared by every caller, so it is returned as a
     read-only view: a write raises TypeError instead of corrupting every
@@ -62,12 +87,16 @@ def compute_cocycle(n: int) -> Mapping[tuple[DihedralElement, DihedralElement], 
         raise IndexRangeError(f"compute_cocycle needs n >= 4, got {n}")
     G = cycle(n)
     elements = DihedralElement.all_elements(n)
-    lifts = {d: dihedral_section_word(d) for d in elements}
+    lifts = {d: dihedral_lift_counts(d) for d in elements}
+    pullbacks = _pullbacks(n)
     table = {}
     for g in elements:
+        a_g, src = lifts[g], pullbacks[g.to_perm().image]
         for h in elements:
-            w = concat(concat(lifts[g], lifts[h]), inverse(lifts[g * h]))
-            table[g, h] = edge_lk(w, G)
+            a_h, a_gh = lifts[h], lifts[g * h]
+            table[g, h] = halved_counts(
+                G, (a_g[k] + a_h[s] - a_gh[k] for k, s in enumerate(src))
+            )
     return MappingProxyType(table)
 
 

@@ -46,6 +46,7 @@ def from_edge_list(n: int, pairs) -> SimpleGraph:
     return SimpleGraph(n, frozenset(edges))
 
 
+@lru_cache(maxsize=None)
 def cycle(n: int) -> SimpleGraph:
     if n < 3:
         raise GraphInputError(f"cycle graph needs n >= 3, got {n}")
@@ -80,8 +81,12 @@ def is_3_circuit(G: SimpleGraph, i: int, j: int, k: int) -> bool:
 
 
 def is_triangle_free(G: SimpleGraph) -> bool:
+    adj = [set() for _ in range(G.vertices + 1)]
     for i, j in G.edges:
-        if G.neighbors(i) & G.neighbors(j):
+        adj[i].add(j)
+        adj[j].add(i)
+    for i, j in G.edges:
+        if not adj[i].isdisjoint(adj[j]):
             return False
     return True
 
@@ -90,7 +95,13 @@ def is_automorphism(G: SimpleGraph, g: Permutation) -> bool:
     """Membership test for a single permutation; no exhaustive search."""
     if g.size != G.vertices:
         return False
-    return all(G.has_edge(g.apply(i), g.apply(j)) for i, j in G.edges)
+    image = (0,) + g.image  # image[v] = g(v)
+    edges = G.edges
+    for i, j in edges:
+        a, b = image[i], image[j]
+        if (a, b) not in edges and (b, a) not in edges:
+            return False
+    return True
 
 
 @lru_cache(maxsize=None)
@@ -199,13 +210,7 @@ class DihedralElement:
         return self.rotation == 0 and not self.reflected
 
     def to_perm(self) -> Permutation:
-        a, b = dihedral_generators(self.order)
-        g = Permutation.identity(self.order)
-        for _ in range(self.rotation):
-            g = g * a
-        if self.reflected:
-            g = g * b
-        return g
+        return _dihedral_perms(self.order)[self.rotation + self.order * self.reflected]
 
     @staticmethod
     def all_elements(n: int) -> list[DihedralElement]:
@@ -224,5 +229,17 @@ class DihedralElement:
 
 
 @lru_cache(maxsize=None)
+def _dihedral_perms(n: int) -> tuple[Permutation, ...]:
+    """The permutations a^k b^e in all_elements order: index k + n e."""
+    a, b = dihedral_generators(n)
+    rotations = [Permutation.identity(n)]
+    for _ in range(n - 1):
+        rotations.append(rotations[-1] * a)
+    return tuple(rotations + [g * b for g in rotations])
+
+
+@lru_cache(maxsize=None)
 def _perm_table(n: int) -> dict[tuple[int, ...], DihedralElement]:
-    return {d.to_perm().image: d for d in DihedralElement.all_elements(n)}
+    return {
+        g.image: d for d, g in zip(DihedralElement.all_elements(n), _dihedral_perms(n))
+    }

@@ -32,16 +32,22 @@ equal_via_representation decides equality in two stages.
 
 Only whole-matrix equality is consumed downstream, so the left/right action
 convention is immaterial: word reversal preserves equality in B_n.
+
+numpy is imported inside lk_matrix and equal_via_representation, not at
+module level, so only a process that reaches the exact stage (or asks for
+a matrix) loads it; the certificate and _column_rules need plain ints only.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import StrandMismatchError
 from .words import BraidWord
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _INT64_MAX_LEN = 22
 
@@ -171,6 +177,8 @@ def lk_matrix(w: BraidWord, length_budget: int | None = None) -> np.ndarray:
     (x_r, x_c) matrix entry.  Words compared for equality must be rendered
     with the same budget so the windows line up.
     """
+    import numpy as np
+
     n = w.strands
     if n < 2:
         raise StrandMismatchError("representation needs at least 2 strands")
@@ -213,6 +221,8 @@ def equal_via_representation(u: BraidWord, v: BraidWord) -> bool:
         return True
     if _certificate(u) != _certificate(v):
         return False
+    import numpy as np
+
     budget = max(len(u.letters), len(v.letters), 1)
     return np.array_equal(
         lk_matrix(u, length_budget=budget), lk_matrix(v, length_budget=budget)

@@ -11,7 +11,7 @@ from itertools import combinations
 
 from .chromatic import equal_in_BGamma, i_star
 from .errors import IndexRangeError
-from .garside import equal_in_Bn, normal_form
+from .garside import normal_form
 from .graphs import SimpleGraph, complete, cycle, is_complete, is_triangle_free, path
 from .presentations import (
     Presentation,
@@ -25,12 +25,9 @@ from .words import BraidWord, a_word, concat, e_word, psi_r, s_word
 
 
 def _bn_check(check_id: str, lhs: BraidWord, rhs: BraidWord) -> CheckLine:
-    return CheckLine(
-        check_id,
-        equal_in_Bn(lhs, rhs),
-        str(normal_form(lhs)),
-        str(normal_form(rhs)),
-    )
+    # equal_in_Bn(lhs, rhs) is exactly a == b; each normal form is computed once
+    a, b = normal_form(lhs), normal_form(rhs)
+    return CheckLine(check_id, a == b, str(a), str(b))
 
 
 def lemma_report(ns) -> Report:

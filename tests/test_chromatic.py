@@ -220,6 +220,24 @@ class TestIStar:
         x = i_star(concat(s_word(1, 2, 4), psi_a_word(4)), G)
         assert str(x) == "[1,0,0,0|2,3,4,1]"
 
+    @pytest.mark.parametrize("G", [cycle(4), cycle(7), path(5), star(5)])
+    def test_matches_word_definition(self, G):
+        # i_star reads C(w) - C(section(g)); rebuild it from the pure word
+        # w section(g)^-1 that the definition names
+        rng = random.Random(G.vertices * 31 + len(G.edges))
+        n = G.vertices
+        pieces = [s_word(i, j, n) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        pieces += [section(g, G) for g in automorphisms(G)]
+        pieces += [inverse(p) for p in pieces]
+        for _ in range(60):
+            w = BraidWord(n)
+            for _ in range(rng.randint(0, 5)):
+                w = concat(w, rng.choice(pieces))
+            g = perm_of(w)
+            x = i_star(w, G)
+            assert x.aut == g
+            assert x.vector == edge_lk(concat(w, inverse(section(g, G))), G)
+
 
 class TestEqualInBGamma:
     def test_untangling(self):

@@ -7,7 +7,14 @@ from itertools import product
 
 import pytest
 
-from chromabraid.chromatic import ChromaticElement, EdgeVector, unit_vector, zero_vector
+from chromabraid.chromatic import (
+    ChromaticElement,
+    EdgeVector,
+    dihedral_section_word,
+    edge_lk,
+    unit_vector,
+    zero_vector,
+)
 from chromabraid.errors import IndexRangeError, StrandMismatchError
 from chromabraid.extension import (
     _act,
@@ -103,6 +110,20 @@ class TestCocycle:
                 lhs = _act(g1.to_perm(), c[g2, g3]) + c[g1, g2 * g3]
                 rhs = c[g1, g2] + c[g1 * g2, g3]
                 assert lhs == rhs
+
+    def test_matches_word_definition(self):
+        # the table is computed from the lifts' crossing counts; rebuild
+        # every entry from its defining word psi(g) psi(h) psi(gh)^-1
+        checked = 0
+        for n in range(4, 13):
+            G = cycle(n)
+            c = compute_cocycle(n)
+            lifts = {d: dihedral_section_word(d) for d in DihedralElement.all_elements(n)}
+            for (g, wg), (h, wh) in product(lifts.items(), repeat=2):
+                word = concat(concat(wg, wh), inverse(lifts[g * h]))
+                assert c[g, h] == edge_lk(word, G), (n, g, h)
+                checked += 1
+        assert checked == 2544
 
     def test_range(self):
         with pytest.raises(IndexRangeError):

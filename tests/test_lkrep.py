@@ -1,8 +1,14 @@
 """Fidelity of the exact representation oracle."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import chromabraid
 from chromabraid.errors import StrandMismatchError
 from chromabraid.lkrep import equal_via_representation, lk_matrix
 from chromabraid.words import BraidWord, concat, inverse, power
@@ -87,3 +93,30 @@ class TestWindows:
         assert narrow.dtype == np.int64 and wide.dtype == object
         assert np.array_equal(narrow, wide[..., 2:91, 1:46])
         assert np.abs(wide).max() < 2**63
+
+
+class TestLazyNumpy:
+    def test_numpy_loads_only_for_the_exact_stage(self):
+        # a fresh interpreter: import, fill the caches the certificate and the
+        # extension layer use, run the extension layer, then one EQUAL pair
+        script = """
+import sys
+import chromabraid
+from chromabraid import extension, garside, lkrep
+from chromabraid.words import BraidWord, psi_a_word, s_word
+extension.compute_cocycle(5)
+lkrep._column_rules(4, 1)
+x = extension.to_element(psi_a_word(6), 6)
+y = extension.to_element(s_word(1, 2, 6), 6)
+print(extension.mul(x, extension.inv(x)).is_identity(), extension.mul(x, y))
+print('numpy' in sys.modules)
+print(garside.equal_via_representation(BraidWord(3, (1, 2, 1)), BraidWord(3, (2, 1, 2))))
+"""
+        src = str(Path(chromabraid.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["True [0,1,0,0,0,0|2,3,4,5,6,1]", "False", "True"]
