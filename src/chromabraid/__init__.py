@@ -32,6 +32,7 @@ from .errors import (
     NotPureError,
     OutOfScopeError,
     ParseError,
+    ResourceLimitError,
     StrandMismatchError,
 )
 from .extension import (

@@ -52,7 +52,6 @@ from .words import (
     concat,
     crossing_matrix,
     e_word,
-    inverse,
     perm_of,
     power,
     psi_a_word,
@@ -258,10 +257,12 @@ def equal_in_BGamma(u: BraidWord, v: BraidWord, G: SimpleGraph) -> bool:
     Triangle-free G: B(G) is the split extension of Aut(G) by the free
     abelian group Z^E(G), and (edge_lk, phi) is a complete invariant; u
     and v are equal iff their permutations agree and u v^-1 has the zero
-    edge vector.  Complete G: the conditioning is vacuous, B(G) = B_n, and
-    the question is delegated to the left-weighted normal form.  Any other
-    graph (a 3-circuit plus a non-edge) is outside the decidable fragment
-    handled here and raises OutOfScopeError.
+    edge vector.  With equal permutations C(u v^-1) = C(u) - C(v) (see the
+    module docstring), so no word u v^-1 is built.  Complete G: the
+    conditioning is vacuous, B(G) = B_n, and the question is delegated to
+    the left-weighted normal form.  Any other graph (a 3-circuit plus a
+    non-edge) is outside the decidable fragment handled here and raises
+    OutOfScopeError.
     """
     _check_strands(u, G)
     _check_strands(v, G)
@@ -270,7 +271,11 @@ def equal_in_BGamma(u: BraidWord, v: BraidWord, G: SimpleGraph) -> bool:
         pv = phi(v, G)
         if pu != pv:
             return False
-        return edge_lk(concat(u, inverse(v)), G).is_zero()
+        n = G.vertices
+        mu = crossing_counts(n, u.letters)
+        mv = crossing_counts(n, v.letters)
+        counts = (mu[i - 1][j - 1] - mv[i - 1][j - 1] for i, j in _edge_index(G))
+        return halved_counts(G, counts).is_zero()
     if is_complete(G):
         return equal_in_Bn(u, v)
     raise OutOfScopeError(

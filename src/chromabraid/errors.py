@@ -51,3 +51,7 @@ class OutOfScopeError(ChromabraidError, ValueError):
 
 class MissingEntryError(ChromabraidError, KeyError):
     """Action or cocycle table is missing a required entry."""
+
+
+class ResourceLimitError(ChromabraidError, ValueError):
+    """Computation refused: its worst-case memory exceeds a fixed limit."""

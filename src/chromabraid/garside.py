@@ -84,8 +84,9 @@ def is_left_weighted(nf: NormalForm) -> bool:
 
 
 def equal_via_representation(u: BraidWord, v: BraidWord) -> bool:
-    """Faithful-representation comparison; see lkrep.  Exact at any n, but
-    meant for n <= 8 where the matrix size stays reasonable."""
+    """Faithful-representation comparison; see lkrep.  Exact at any n; an
+    EQUAL-looking pair whose exact matrices could exceed lkrep's size limit
+    raises ResourceLimitError."""
     from .lkrep import equal_via_representation as _impl
 
     return _impl(u, v)

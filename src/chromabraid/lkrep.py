@@ -22,20 +22,39 @@ equal_via_representation decides equality in two stages.
    DISTINCT verdict from this stage is exact.  Equal rows prove nothing
    (they almost never occur for distinct braids, by Schwartz-Zippel) and
    the pair goes on to stage 2.
-2. Exact matrices.  An entry is a Laurent polynomial held as an integer
-   window indexed by (q exponent, t exponent).  After k letters only q
-   exponents in [-2k, 2k] and t exponents in [-k, k] can be non-zero, so
-   each letter updates only that live box of the window.  A word of length
-   L therefore stays inside a (4L+1, 2L+1) window, and the coefficient
-   magnitudes stay below 5^L, so int64 is exact up to L = 22; longer words
-   fall back to Python integers via an object array.
+2. Exact matrices, Kronecker-packed (Kronecker substitution; see Harvey,
+   "Faster polynomial multiplication via multipoint Kronecker
+   substitution", JSC 2009).  Each entry is one Python int.  For a length
+   budget B >= L, digits are bits = bitlen(5^B) + 2 wide and a t step is
+   4B+1 digits.  Column c carries an offset e_c and stores (q^2 t)^e_c
+   times the true column, so the coefficient of q^a t^b sits as a
+   balanced (possibly negative) digit at position
+   (a + 2 e_c) + (4B+1)(b + e_c).  Every monomial list of a column rule
+   has one t exponent, so a term becomes one left shift and one small
+   q-multiplier int (_packed_rules).  A rewritten column gets the offset
+   max(e_s) + 1 over its sources, which makes every shift a left shift;
+   a copied column (x_c <- x_s) keeps e_s and its int.  Two matrices are
+   compared column by column after shifting the lower offset up to the
+   higher one.
+
+Why the packing is exact.  A column at offset e has q exponents in
+[-2e, 2e] and t exponents in [-e, e] (induction: a rule moves them by at
+most 2 and 1, and the offset grows by 1), so with e <= L <= B the digit
+positions lie in [0, (4B+1)(2B+1)) and are distinct.  Each column rule has
+l1 weight at most 5 (for i = j-1: q + (q^2-q) + (1-q) weighs 1 + 2 + 2),
+and copies weigh 1, so by induction every entry's l1 norm, and with it
+every coefficient, is at most 5^L < 2^(bits-2).  Balanced digits smaller
+than 2^(bits-1) in magnitude are unique: if two such expansions had the
+same value, their lowest differing digit would differ by a non-zero
+multiple of 2^bits.  So equal ints mean equal polynomials, and equal
+packed matrices mean equal matrices.
 
 Only whole-matrix equality is consumed downstream, so the left/right action
 convention is immaterial: word reversal preserves equality in B_n.
 
-numpy is imported inside lk_matrix and equal_via_representation, not at
-module level, so only a process that reaches the exact stage (or asks for
-a matrix) loads it; the certificate and _column_rules need plain ints only.
+The exact stage needs plain ints only.  numpy is imported inside lk_matrix
+alone, which unpacks the packed form into an exponent-window array for
+callers that want the matrix itself.
 """
 
 from __future__ import annotations
@@ -43,13 +62,17 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .errors import StrandMismatchError
+from .errors import ResourceLimitError, StrandMismatchError
 from .words import BraidWord
 
 if TYPE_CHECKING:
     import numpy as np
 
 _INT64_MAX_LEN = 22
+
+# Worst-case size in bits of the two packed matrices of one exact comparison,
+# 2 m^2 bits (4B+1)(2B+1): 256 MiB.
+_PACKED_LIMIT_BITS = 2**31
 
 # The certificate's field Z/P and its fixed point: q, t and the row vector
 # y_r = Y^(r+1), all non-zero residues.
@@ -160,14 +183,60 @@ def _certificate(w: BraidWord) -> list[int]:
     return row
 
 
-def _shift_add(dst: np.ndarray, src: np.ndarray, coef: int, dq: int, dt: int):
-    """dst += coef * q^dq t^dt * src, on exponent-window arrays (..., NQ, NT)."""
-    nq, nt = src.shape[-2], src.shape[-1]
-    qd = slice(max(0, dq), nq + min(0, dq))
-    qs = slice(max(0, -dq), nq + min(0, -dq))
-    td = slice(max(0, dt), nt + min(0, dt))
-    ts = slice(max(0, -dt), nt + min(0, -dt))
-    dst[..., qd, td] += coef * src[..., qs, ts]
+def _layout(budget: int) -> tuple[int, int, int]:
+    """Digit width, t step (digits) and (q^2 t) step (bits) for a budget."""
+    bits = (5**budget).bit_length() + 2
+    row = 4 * budget + 1
+    return bits, row, (row + 2) * bits
+
+
+def _packed_rules(n: int, letter: int, budget: int):
+    """_column_rules(n, letter) for packed columns: (column, grows, terms)
+    with terms ((source, mult, shift), ...).  A term times q^2 t is
+    (x << shift) * mult on a packed source x; a copy has grows = 0 and
+    keeps its source's int and offset."""
+    bits, row, _ = _layout(budget)
+    rules = []
+    for c, terms in _column_rules(n, letter):
+        if len(terms) == 1 and terms[0][1] == _ONE:
+            rules.append((c, 0, ((terms[0][0], 1, 0),)))
+            continue
+        packed = []
+        for s, monos in terms:
+            mult = sum(coef << (bits * (dq + 2)) for coef, dq, _ in monos)
+            zeros = (mult & -mult).bit_length() - 1
+            shift = zeros + (monos[0][2] + 1) * row * bits
+            packed.append((s, mult >> zeros, shift))
+        rules.append((c, 1, tuple(packed)))
+    return rules
+
+
+def _packed_matrix(w: BraidWord, budget: int) -> tuple[list[list[int]], list[int]]:
+    """The columns of M(w), packed for the budget, and their offsets:
+    column c is a list of one int per row."""
+    m = w.strands * (w.strands - 1) // 2
+    step = _layout(budget)[2]
+    cols = [[int(r == c) for r in range(m)] for c in range(m)]
+    offsets = [0] * m
+    rules = {a: _packed_rules(w.strands, a, budget) for a in set(w.letters)}
+    for letter in w.letters:
+        new_cols = []
+        for c, grows, terms in rules[letter]:
+            if not grows:
+                s = terms[0][0]
+                new_cols.append((c, cols[s], offsets[s]))
+                continue
+            top = max(offsets[s] for s, _, _ in terms)
+            col = None
+            for s, mult, shift in terms:
+                shift += (top - offsets[s]) * step
+                part = [(x << shift) * mult for x in cols[s]]
+                col = part if col is None else [a + b for a, b in zip(col, part)]
+            new_cols.append((c, col, top + 1))
+        for c, col, offset in new_cols:
+            cols[c] = col
+            offsets[c] = offset
+    return cols, offsets
 
 
 def lk_matrix(w: BraidWord, length_budget: int | None = None) -> np.ndarray:
@@ -175,7 +244,11 @@ def lk_matrix(w: BraidWord, length_budget: int | None = None) -> np.ndarray:
 
     Entry [r, c, 2B + eq, B + et] is the coefficient of q^eq t^et in the
     (x_r, x_c) matrix entry.  Words compared for equality must be rendered
-    with the same budget so the windows line up.
+    with the same budget so the windows line up.  The dtype is int64 up to
+    a budget of _INT64_MAX_LEN and object (Python ints) above it.  The
+    matrix is the unpacked _packed_matrix: every column is shifted to the
+    offset B, which puts q^a t^b at digit (2B + a) + (4B+1)(B + b), and the
+    balanced digits are read out with numpy.
     """
     import numpy as np
 
@@ -186,32 +259,61 @@ def lk_matrix(w: BraidWord, length_budget: int | None = None) -> np.ndarray:
     if budget < len(w.letters):
         raise ValueError("length budget smaller than the word")
     m = n * (n - 1) // 2
-    nq, nt = 4 * budget + 1, 2 * budget + 1
-    dtype = np.int64 if budget <= _INT64_MAX_LEN else object
-    mat = np.zeros((m, m, nq, nt), dtype=dtype)
-    q0, t0 = 2 * budget, budget
-    for r in range(m):
-        mat[r, r, q0, t0] = 1
-    for k, letter in enumerate(w.letters, 1):
-        # the live box after k letters; a letter shifts by |dq| <= 2, |dt| <= 1
-        box = mat[:, :, q0 - 2 * k:q0 + 2 * k + 1, t0 - k:t0 + k + 1]
-        new_cols = []
-        for c, terms in _column_rules(n, letter):
-            acc = np.zeros_like(box[:, c])
-            for s, monos in terms:
-                for coef, dq, dt in monos:
-                    _shift_add(acc, box[:, s], coef, dq, dt)
-            new_cols.append((c, acc))
-        for c, acc in new_cols:
-            box[:, c] = acc
-    return mat
+    bits, row, step = _layout(budget)
+    cols, offsets = _packed_matrix(w, budget)
+    digits = row * (2 * budget + 1)
+    width = (bits * digits + 7) // 8 + 8  # 8 spare bytes for the 8-byte reads
+    buf = b"".join(
+        (cols[c][r] << ((budget - offsets[c]) * step)).to_bytes(width, "little", signed=True)
+        for r in range(m) for c in range(m)
+    )
+    # 8-byte reads starting at every byte of an entry; a chunk of at most 56
+    # bits lies within the 8 bytes from the byte holding its first bit
+    reads = np.ndarray((m * m, width - 7), dtype="<u8", buffer=buf, strides=(width, 1))
+    wide = bits > 64
+    start = np.arange(digits, dtype=np.int64) * bits
+    raw = None
+    for low in range(0, bits, 56):
+        pos = start + low
+        mask = np.uint64((1 << min(56, bits - low)) - 1)
+        chunk = (reads[:, pos >> 3] >> (pos & 7).astype(np.uint64)) & mask
+        chunk = chunk.astype(object) << low if wide else chunk << np.uint64(low)
+        raw = chunk if raw is None else raw | chunk
+    # The two's complement digit i is d_i - 1 (mod 2^bits) when the digits
+    # below it sum to a negative number, which shows as the top bit of digit
+    # i - 1 (they sum to less than 2^(bits i - 1) in magnitude).  Add that
+    # borrow back, then read the digit as signed.
+    scalar = int if wide else np.uint64
+    half = scalar(1 << (bits - 1))
+    raw[:, 1:] += raw[:, :-1] >> scalar(bits - 1)
+    raw &= scalar((1 << bits) - 1)
+    values = (raw ^ half) - half
+    if not wide:
+        values = values.view(np.int64)
+    # digit (2B + a) + (4B+1)(B + b) is window cell [2B + a, B + b]
+    mat = np.ascontiguousarray(values.reshape(m, m, 2 * budget + 1, row).transpose(0, 1, 3, 2))
+    return mat.astype(object) if budget > _INT64_MAX_LEN and not wide else mat
+
+
+def _columns_equal(pu, pv, step: int) -> bool:
+    """Packed matrices equal, column by column at the larger offset."""
+    (cols_u, offsets_u), (cols_v, offsets_v) = pu, pv
+    for cu, eu, cv, ev in zip(cols_u, offsets_u, cols_v, offsets_v):
+        if eu < ev:
+            cu = [x << ((ev - eu) * step) for x in cu]
+        elif ev < eu:
+            cv = [x << ((eu - ev) * step) for x in cv]
+        if cu != cv:
+            return False
+    return True
 
 
 def equal_via_representation(u: BraidWord, v: BraidWord) -> bool:
     """Exact comparison of representation matrices; agrees with equal_in_Bn.
 
-    Differing certificate rows decide DISTINCT; otherwise the exact matrices
-    decide.
+    Differing certificate rows decide DISTINCT; otherwise the packed exact
+    matrices decide.  Raises ResourceLimitError, before building them, when
+    the two packed matrices could exceed _PACKED_LIMIT_BITS.
     """
     if u.strands != v.strands:
         raise StrandMismatchError(
@@ -221,9 +323,13 @@ def equal_via_representation(u: BraidWord, v: BraidWord) -> bool:
         return True
     if _certificate(u) != _certificate(v):
         return False
-    import numpy as np
-
     budget = max(len(u.letters), len(v.letters), 1)
-    return np.array_equal(
-        lk_matrix(u, length_budget=budget), lk_matrix(v, length_budget=budget)
-    )
+    bits, row, step = _layout(budget)
+    m = u.strands * (u.strands - 1) // 2
+    size = 2 * m * m * bits * row * (2 * budget + 1)
+    if size > _PACKED_LIMIT_BITS:
+        raise ResourceLimitError(
+            f"exact LK matrices for {u.strands} strands and {budget} letters "
+            f"could take {size // 8 // 2**20} MiB, over the {_PACKED_LIMIT_BITS // 8 // 2**20} MiB limit"
+        )
+    return _columns_equal(_packed_matrix(u, budget), _packed_matrix(v, budget), step)

@@ -19,7 +19,7 @@ class CheckLine:
 
     def __post_init__(self):
         for field in (self.check_id, self.lhs, self.rhs):
-            if not field or any(ch.isspace() for ch in field):
+            if field.split() != [field]:
                 raise ValueError(f"report field with whitespace or empty: {field!r}")
 
     def render(self) -> str:

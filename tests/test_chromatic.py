@@ -275,6 +275,28 @@ class TestEqualInBGamma:
         with pytest.raises(StrandMismatchError):
             equal_in_BGamma(BraidWord(5), BraidWord(4), cycle(4))
 
+    @pytest.mark.parametrize("G", [cycle(4), cycle(7), path(5), star(5)])
+    def test_matches_word_definition(self, G):
+        # equal_in_BGamma reads C(u) - C(v); rebuild it from the pure word
+        # u v^-1 that the definition names, on pairs with equal permutations
+        rng = random.Random(G.vertices * 17 + len(G.edges))
+        n = G.vertices
+        bands = [s_word(i, j, n) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        bands += [inverse(b) for b in bands]
+        pieces = bands + [section(g, G) for g in automorphisms(G)]
+        pieces += [inverse(p) for p in pieces]
+        verdicts = []
+        for _ in range(300):
+            parts = [rng.choice(pieces) for _ in range(rng.randint(0, 5))]
+            u = BraidWord(n, tuple(a for p in parts for a in p.letters))
+            for _ in range(rng.randint(1, 2)):
+                parts.insert(rng.randint(0, len(parts)), rng.choice(bands))
+            v = BraidWord(n, tuple(a for p in parts for a in p.letters))
+            equal = equal_in_BGamma(u, v, G)
+            assert equal == edge_lk(concat(u, inverse(v)), G).is_zero()
+            verdicts.append(equal)
+        assert 0 < sum(verdicts) < len(verdicts)
+
     def test_congruence_under_concatenation(self):
         # Multiplying two equal pure words by the same word preserves equality.
         G = cycle(5)

@@ -1,15 +1,17 @@
 """Fidelity of the exact representation oracle."""
 
 import os
+import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import chromabraid
-from chromabraid.errors import StrandMismatchError
+from chromabraid.errors import ChromabraidError, ResourceLimitError, StrandMismatchError
 from chromabraid.lkrep import equal_via_representation, lk_matrix
 from chromabraid.words import BraidWord, concat, inverse, power
 
@@ -95,10 +97,38 @@ class TestWindows:
         assert np.abs(wide).max() < 2**63
 
 
+class TestResourceLimit:
+    def test_large_equal_pair_is_refused_quickly(self):
+        # n=8 and about 100 letters: the two packed matrices could take
+        # about 3.7 GB, so the exact stage refuses before building them
+        rng = random.Random(8)
+        letters = tuple(rng.choice((1, -1)) * rng.randint(1, 7) for _ in range(98))
+        u = BraidWord(8, letters)
+        v = BraidWord(8, letters[:50] + (3, -3) + letters[50:])
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError):
+            equal_via_representation(u, v)
+        assert time.perf_counter() - start < 1.0
+        assert isinstance(ResourceLimitError("x"), ChromabraidError)
+
+    def test_distinct_pairs_are_still_answered(self):
+        rng = random.Random(9)
+        u = BraidWord(8, tuple(rng.choice((1, -1)) * rng.randint(1, 7) for _ in range(100)))
+        assert not equal_via_representation(u, BraidWord(8, u.letters + (1,)))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_criterion_8_sizes_are_allowed(self, n):
+        # criterion 8 compares words of at most 20 letters on n <= 6 strands
+        letters = tuple((k % (n - 1)) + 1 for k in range(18))
+        w = BraidWord(n, letters)
+        assert equal_via_representation(w, BraidWord(n, letters[:9] + (1, -1) + letters[9:]))
+
+
 class TestLazyNumpy:
     def test_numpy_loads_only_for_the_exact_stage(self):
         # a fresh interpreter: import, fill the caches the certificate and the
         # extension layer use, run the extension layer, then one EQUAL pair
+        # through the packed exact stage, which needs no numpy
         script = """
 import sys
 import chromabraid
@@ -111,6 +141,7 @@ y = extension.to_element(s_word(1, 2, 6), 6)
 print(extension.mul(x, extension.inv(x)).is_identity(), extension.mul(x, y))
 print('numpy' in sys.modules)
 print(garside.equal_via_representation(BraidWord(3, (1, 2, 1)), BraidWord(3, (2, 1, 2))))
+print('numpy' in sys.modules)
 """
         src = str(Path(chromabraid.__file__).resolve().parents[1])
         env = dict(os.environ)
@@ -119,4 +150,6 @@ print(garside.equal_via_representation(BraidWord(3, (1, 2, 1)), BraidWord(3, (2,
             [sys.executable, "-c", script], capture_output=True, text=True, env=env
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["True [0,1,0,0,0,0|2,3,4,5,6,1]", "False", "True"]
+        assert proc.stdout.splitlines() == [
+            "True [0,1,0,0,0,0|2,3,4,5,6,1]", "False", "True", "False"
+        ]

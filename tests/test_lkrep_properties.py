@@ -1,10 +1,12 @@
-"""Property tests tying the LK oracle's certificate to its exact stage and to Garside."""
+"""Property tests tying the LK oracle's certificate to its exact stage and to
+Garside, and its packed exact stage to the numpy exponent-window loop it
+replaced (kept here as the reference)."""
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from chromabraid import lkrep  # noqa: E402
 from chromabraid.garside import equal_in_Bn  # noqa: E402
@@ -12,9 +14,10 @@ from chromabraid.lkrep import equal_via_representation, lk_matrix  # noqa: E402
 from chromabraid.words import BraidWord  # noqa: E402
 
 
-def letters(n, max_len):
+def letters(n, max_len, min_len=0):
     return st.lists(
         st.integers(1, n - 1).flatmap(lambda i: st.sampled_from((i, -i))),
+        min_size=min_len,
         max_size=max_len,
     ).map(tuple)
 
@@ -60,6 +63,42 @@ def rewrite_pairs(draw, max_n=6, max_len=12):
     return BraidWord(n, tuple(base)), BraidWord(n, tuple(w))
 
 
+def _shift_add(dst, src, coef, dq, dt):
+    """dst += coef * q^dq t^dt * src, on exponent-window arrays (..., NQ, NT)."""
+    nq, nt = src.shape[-2], src.shape[-1]
+    qd = slice(max(0, dq), nq + min(0, dq))
+    qs = slice(max(0, -dq), nq + min(0, -dq))
+    td = slice(max(0, dt), nt + min(0, dt))
+    ts = slice(max(0, -dt), nt + min(0, -dt))
+    dst[..., qd, td] += coef * src[..., qs, ts]
+
+
+def reference_lk_matrix(w, length_budget=None):
+    """The exact matrix by letter-by-letter updates of numpy exponent windows."""
+    n = w.strands
+    budget = max(len(w.letters), 1) if length_budget is None else length_budget
+    m = n * (n - 1) // 2
+    nq, nt = 4 * budget + 1, 2 * budget + 1
+    dtype = np.int64 if budget <= lkrep._INT64_MAX_LEN else object
+    mat = np.zeros((m, m, nq, nt), dtype=dtype)
+    q0, t0 = 2 * budget, budget
+    for r in range(m):
+        mat[r, r, q0, t0] = 1
+    for k, letter in enumerate(w.letters, 1):
+        # the live box after k letters; a letter shifts by |dq| <= 2, |dt| <= 1
+        box = mat[:, :, q0 - 2 * k:q0 + 2 * k + 1, t0 - k:t0 + k + 1]
+        new_cols = []
+        for c, terms in lkrep._column_rules(n, letter):
+            acc = np.zeros_like(box[:, c])
+            for s, monos in terms:
+                for coef, dq, dt in monos:
+                    _shift_add(acc, box[:, s], coef, dq, dt)
+            new_cols.append((c, acc))
+        for c, acc in new_cols:
+            box[:, c] = acc
+    return mat
+
+
 def evaluated_row(w):
     """y M(w) modulo P, from the exact matrix evaluated at the certificate's point."""
     mat = lk_matrix(w)
@@ -90,3 +129,75 @@ def test_rewrite_equal_pairs_pass_the_certificate(pair):
 def test_oracles_agree(pair):
     u, v = pair
     assert equal_via_representation(u, v) == equal_in_Bn(u, v)
+
+
+@st.composite
+def budgeted_words(draw, max_n=6, max_len=26):
+    """A word of a drawn length and a length budget from that length up to
+    max_len, so budgets on both sides of _INT64_MAX_LEN occur."""
+    n = draw(st.integers(2, max_n))
+    size = draw(st.integers(0, max_len))
+    w = BraidWord(n, draw(letters(n, size, size)))
+    return w, draw(st.integers(max(size, 1), max(size, 1, max_len)))
+
+
+@st.composite
+def unequal_length_pairs(draw, max_n=6, max_len=12):
+    """A word of a drawn length and a copy with one to three free insertions
+    a a^-1."""
+    n = draw(st.integers(2, max_n))
+    size = draw(st.integers(0, max_len))
+    u = draw(letters(n, size, size))
+    v = list(u)
+    for _ in range(draw(st.integers(1, 3))):
+        a = draw(st.integers(1, n - 1)) * draw(st.sampled_from((1, -1)))
+        pos = draw(st.integers(0, len(v)))
+        v[pos:pos] = [a, -a]
+    return BraidWord(n, u), BraidWord(n, tuple(v))
+
+
+# object-dtype budgets make the reference loop slow, so fewer drawn cases;
+# the examples pin the largest int64 and object windows at n = 6 and a
+# budget whose digits are wider than 64 bits
+@settings(max_examples=25)
+@given(budgeted_words())
+@example((BraidWord(6, (5, -4, 3, 1, -2) * 4 + (1, 1)), 22))
+@example((BraidWord(6, (1, -2, 3, -4, 5, 2, -1, 4, -3, -5, 1, 2, 3) * 2), 26))
+@example((BraidWord(3, (1, 2, -1, 2, 2, -1, -2, 1) * 3 + (1, 2)), 30))
+def test_lk_matrix_is_the_window_loop(case):
+    w, budget = case
+    packed, reference = lk_matrix(w, budget), reference_lk_matrix(w, budget)
+    assert packed.shape == reference.shape
+    assert packed.dtype == reference.dtype
+    assert np.array_equal(packed, reference)
+
+
+def test_column_rules_weigh_at_most_five():
+    # the induction step of the 5^L coefficient bound in the lkrep docstring
+    for n in range(2, 9):
+        for i in range(1, n):
+            for letter in (i, -i):
+                for _, terms in lkrep._column_rules(n, letter):
+                    assert sum(abs(coef) for _, monos in terms for coef, _, _ in monos) <= 5
+
+
+@given(budgeted_words())
+def test_entries_stay_within_five_to_the_length(case):
+    w, _ = case
+    mat = lk_matrix(w)
+    assert np.abs(mat).sum(axis=(2, 3)).max() <= 5 ** len(w.letters)
+
+
+def _reference_equal(u, v):
+    budget = max(len(u.letters), len(v.letters), 1)
+    return np.array_equal(reference_lk_matrix(u, budget), reference_lk_matrix(v, budget))
+
+
+@given(rewrite_pairs(max_len=8).filter(lambda p: max(len(p[0].letters), len(p[1].letters)) <= 26))
+def test_packed_verdict_on_rewrite_pairs(pair):
+    assert equal_via_representation(*pair) == _reference_equal(*pair)
+
+
+@given(unequal_length_pairs())
+def test_packed_verdict_on_unequal_lengths(pair):
+    assert equal_via_representation(*pair) == _reference_equal(*pair)
