@@ -8,18 +8,32 @@ Conventions inside the kernel: permutations are 0-based one-line lists
 positive permutation braid whose strand starting at position x ends at
 position f[x].  A word sigma_{k}^{+-1} enters as the signed integer +-k
 (1-based generator index).
+
+left_normal_form is one right-multiplication pass (Epstein et al., Word
+Processing in Groups, ch. 9) in a lazily twisted frame.  The stored factors
+are the true ones conjugated by tau^flip, where tau is conjugation by the
+half twist Delta and flip is one bit for the whole list; tau is applied
+once, at the end.  Per letter:
+
+- sigma_i^-1 whose sigma_i is a suffix of the last factor cancels there: a
+  prefix of a left-weighted factor keeps the list left weighted.
+- Any other sigma_i^-1 = Delta^-1 . (Delta sigma_i^-1): the Delta^-1 goes to
+  the front, conjugating every stored factor, which is a toggle of flip.
+- The new factor is appended and pairs are left weighted backwards from it
+  (the meet step of El-Rifai and Morton, "Algorithms for positive braids",
+  1994); left weighting commutes with tau, so it runs in the stored frame.
+  A pair op that yields Delta in front, (f, g) -> (Delta, g'), moves that
+  Delta to the front at once, conjugating the factors before it by tau,
+  and the list is left weighted from there on.  So Delta is never stored.
 """
 
 from __future__ import annotations
 
 
-def _is_half_twist(f, n):
-    return all(f[x] == n - 1 - x for x in range(n))
-
-
 def _tau(f, n):
     # conjugation by the half twist: tau(f)[x] = n-1 - f[n-1-x]
-    return [n - 1 - f[n - 1 - x] for x in range(n)]
+    top = n - 1
+    return [top - y for y in reversed(f)]
 
 
 def _left_weight_pair(u, v, pos, n):
@@ -28,28 +42,33 @@ def _left_weight_pair(u, v, pos, n):
     S(v) = descent set of v, F(u) = descent set of u^-1.  A generator index
     i (0-based) is slid when i is in S(v) but not in F(u); the slide keeps
     the product u v fixed: u gains the letter on the right, v loses it on
-    the left.  Mutates u and v in place; pos is scratch of length n.
-    Returns True when anything moved.
+    the left.  A slide at i changes only the tests at i-1, i and i+1, so the
+    scan resumes at i-1.  Mutates u and v in place; pos is scratch of
+    length n.  Returns True when anything moved.
     """
-    for x in range(n):
-        pos[u[x]] = x
+    for x, y in enumerate(u):
+        pos[y] = x
     changed = False
-    while True:
-        j = -1
-        for i in range(n - 1):
-            # descent of v at i, non-descent of u^-1 at i
-            if v[i] > v[i + 1] and pos[i] < pos[i + 1]:
-                j = i
-                break
-        if j < 0:
-            return changed
-        # u <- u . sigma_{j+1}: swap the values j, j+1 inside u
-        u[pos[j]] = j + 1
-        u[pos[j + 1]] = j
-        pos[j], pos[j + 1] = pos[j + 1], pos[j]
-        # v <- sigma_{j+1}^-1 . v: swap the entries at j, j+1
-        v[j], v[j + 1] = v[j + 1], v[j]
-        changed = True
+    i = 0
+    while i < n - 1:
+        j = i + 1
+        # descent of v at i, non-descent of u^-1 at i
+        if v[i] > v[j] and pos[i] < pos[j]:
+            # u <- u . sigma_{i+1}: swap the values i, i+1 inside u
+            a = pos[i]
+            b = pos[j]
+            u[a] = j
+            u[b] = i
+            pos[i] = b
+            pos[j] = a
+            # v <- sigma_{i+1}^-1 . v: swap the entries at i, i+1
+            v[i], v[j] = v[j], v[i]
+            changed = True
+            if i:
+                i -= 1
+        else:
+            i = j
+    return changed
 
 
 def left_normal_form(n, letters):
@@ -58,55 +77,69 @@ def left_normal_form(n, letters):
     factors is a list of 0-based one-line tuples, each a proper non-trivial
     permutation braid (never the identity, never the half twist Delta).
     """
-    letters = list(letters)
     if n == 1 or not letters:
         return 0, []
+    if n == 2:
+        # sigma_1 is Delta itself, so B_2 is infinite cyclic on it
+        return sum(1 if k > 0 else -1 for k in letters), []
 
-    # Rewrite each letter as a permutation braid, pulling every Delta^-1
-    # from sigma_i^-1 = Delta^-1 . (Delta sigma_i^-1) to the front.  Moving
-    # Delta^-1 left past a factor conjugates the factor by the half twist;
-    # a factor is flipped once per negative letter strictly after it, so
-    # only the parity of that count matters.
-    total_neg = sum(1 for k in letters if k < 0)
-    p = -total_neg
-    neg_after = total_neg
+    p = 0
+    flip = 0
     factors = []
     pos = [0] * n
     ident = list(range(n))
+    delta = ident[::-1]
     for k in letters:
+        # the letter's generator index in the stored frame: tau maps
+        # sigma_{i+1} to sigma_{n-1-i}
         i = abs(k) - 1
+        if flip:
+            i = n - 2 - i
         if k < 0:
-            neg_after -= 1
-            # Delta sigma_i^-1: x -> t_i(n-1-x)
-            f = []
-            for x in range(n):
-                y = n - 1 - x
-                if y == i:
-                    y = i + 1
-                elif y == i + 1:
-                    y = i
-                f.append(y)
+            if factors:
+                last = factors[-1]
+                a = last.index(i)
+                b = last.index(i + 1)
+                if b < a:
+                    # sigma_{i+1} is a suffix of last: last <- last . sigma^-1
+                    last[a] = i + 1
+                    last[b] = i
+                    if last == ident:
+                        factors.pop()
+                    continue
+            # sigma^-1 = Delta^-1 . (Delta sigma^-1); the Delta^-1 goes to
+            # the front, conjugating every factor: the frame toggles
+            p -= 1
+            flip ^= 1
+            i = n - 2 - i
+            # Delta sigma_{i+1}^-1: x -> t_i(n-1-x)
+            f = delta[:]
+            f[n - 1 - i] = i + 1
+            f[n - 2 - i] = i
         else:
-            f = list(range(n))
-            f[i], f[i + 1] = f[i + 1], f[i]
-        if neg_after & 1:
-            f = _tau(f, n)
+            f = ident[:]
+            f[i] = i + 1
+            f[i + 1] = i
         factors.append(f)
-        # Right multiplication (Epstein et al., Word Processing in Groups,
-        # ch. 9): the factors before f are left weighted, so left-weight
-        # backwards from the new pair; once a pair is unchanged, every pair
-        # before it still is.  Only the new last factor can become the
-        # identity, and Delta factors can only end up at the front.
+        # the factors before f are left weighted; once a pair is unchanged,
+        # every pair before it still is.  Only the new last factor can
+        # become the identity.
         t = len(factors) - 2
         while t >= 0 and _left_weight_pair(factors[t], factors[t + 1], pos, n):
+            if factors[t] == delta:
+                # the new Delta goes to the front past the factors before it
+                for s in range(t):
+                    factors[s] = _tau(factors[s], n)
+                del factors[t]
+                p += 1
+                break
             t -= 1
         if factors[-1] == ident:
             factors.pop()
 
-    lead = 0
-    while lead < len(factors) and _is_half_twist(factors[lead], n):
-        lead += 1
-    return p + lead, [tuple(f) for f in factors[lead:]]
+    if flip:
+        factors = [_tau(f, n) for f in factors]
+    return p, [tuple(f) for f in factors]
 
 
 def crossing_counts(n, letters):

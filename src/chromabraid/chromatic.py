@@ -39,6 +39,7 @@ from .errors import (
 )
 from .garside import equal_in_Bn
 from .graphs import (
+    _GRAPH_CACHE_SIZE,
     DihedralElement,
     SimpleGraph,
     cycle,
@@ -97,8 +98,9 @@ class EdgeVector:
         return "[" + ",".join(str(c) for c in self.coords) + "]"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_GRAPH_CACHE_SIZE)
 def _edge_index(G: SimpleGraph) -> dict[tuple[int, int], int]:
+    """Edge -> coordinate, for the last _GRAPH_CACHE_SIZE graphs."""
     return {e: idx for idx, e in enumerate(G.edges_sorted())}
 
 

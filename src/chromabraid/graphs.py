@@ -11,6 +11,12 @@ from itertools import combinations
 from .errors import AutBoundError, GraphInputError, IndexRangeError
 from .words import Permutation
 
+# Caches keyed by a graph keep this many most recently used graphs: their keys
+# are whatever graphs a library caller builds, so unlike the caches keyed by a
+# strand count they are not bounded by the strand range.  verify-paper's
+# standard suite uses 24 graphs.
+_GRAPH_CACHE_SIZE = 64
+
 
 @dataclass(frozen=True)
 class SimpleGraph:
@@ -104,8 +110,9 @@ def is_automorphism(G: SimpleGraph, g: Permutation) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_GRAPH_CACHE_SIZE)
 def _automorphisms(G: SimpleGraph) -> tuple[Permutation, ...]:
+    """Aut(G) in one-line order, for the last _GRAPH_CACHE_SIZE graphs."""
     n = G.vertices
     deg = [0] + [G.degree(v) for v in range(1, n + 1)]
     adj = [frozenset()] + [G.neighbors(v) for v in range(1, n + 1)]

@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-from ._kernel import crossing_counts
+from ._kernel import _alphabet, crossing_counts
 from .errors import IndexRangeError, ParseError, StrandMismatchError
 
 _TOKEN = re.compile(r"[+-]?[0-9]+")
@@ -102,11 +102,11 @@ class BraidWord:
     def __post_init__(self):
         if self.strands < 1:
             raise IndexRangeError(f"strand count must be >= 1, got {self.strands}")
-        for k in self.letters:
-            if k == 0 or abs(k) >= self.strands:
-                raise IndexRangeError(
-                    f"letter {k} out of range for {self.strands} strands"
-                )
+        # the kernel's C-level set test; the loop only finds the bad letter
+        alphabet = _alphabet(self.strands)
+        if not alphabet.issuperset(self.letters):
+            bad = next(k for k in self.letters if k not in alphabet)
+            raise IndexRangeError(f"letter {bad} out of range for {self.strands} strands")
 
     def __len__(self) -> int:
         return len(self.letters)

@@ -115,6 +115,50 @@ class TestSpotValues:
         assert nf.supremum == nf.infimum + nf.canonical_length
 
 
+class TestKernelEdgeCases:
+    """Cases the lazily twisted pass handles by a branch of its own."""
+
+    def test_b2_powers(self):
+        # sigma_1 is Delta itself on 2 strands
+        for k in range(7):
+            assert _kernel.left_normal_form(2, (1,) * k) == (k, [])
+            assert _kernel.left_normal_form(2, (-1,) * k) == (-k, [])
+
+    def test_delta_cubes(self):
+        for n in range(3, 10):
+            for e in (3, -3):
+                nf = normal_form(power(delta_word(n), e))
+                assert (nf.infimum, nf.factors) == (e, ())
+
+    def test_delta_conjugate_is_tau_of_every_factor(self):
+        # Delta w Delta^-1 = Delta^p tau(A_1) ... tau(A_k)
+        rng = random.Random(26)
+        for _ in range(100):
+            n = rng.randint(3, 8)
+            w = rand_word(rng, n, rng.randint(0, 40))
+            d = delta_word(n)
+            nf = normal_form(concat(concat(d, w), inverse(d)))
+            plain = normal_form(w)
+            tau = tuple(
+                Permutation(tuple(n + 1 - f.apply(n + 1 - x) for x in range(1, n + 1)))
+                for f in plain.factors
+            )
+            assert (nf.infimum, nf.factors) == (plain.infimum, tau)
+
+    def test_last_negative_letter_cancels_in_last_factor(self):
+        # sigma_1 is a suffix of the factor sigma_1 sigma_3, so sigma_1^-1
+        # leaves the prefix sigma_3 and no Delta^-1
+        nf = normal_form(BraidWord(4, (1, 3, -1)))
+        assert (nf.infimum, [f.image for f in nf.factors]) == (0, [(1, 2, 4, 3)])
+        assert nf == normal_form(BraidWord(4, (3,)))
+
+    def test_long_words_are_left_weighted(self):
+        rng = random.Random(27)
+        for _ in range(40):
+            nf = normal_form(rand_word(rng, 8, rng.randint(48, 256)))
+            assert is_left_weighted(nf)
+
+
 class TestPermutationBraidOracle:
     """Brute-force cross-check: every positive word of length <= 4 in B_3
     whose letters multiply to a permutation with the same inversion count is

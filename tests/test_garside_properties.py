@@ -1,0 +1,150 @@
+"""Property tests tying the Garside kernel to the slide-by-slide pass it
+replaced, kept here verbatim as the reference: every sigma_i^-1 enters as
+Delta^-1 . (Delta sigma_i^-1) with a per-letter parity precount, and every
+Delta factor walks to the front one pair op at a time."""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import example, given, strategies as st  # noqa: E402
+
+from chromabraid import _garside_py  # noqa: E402
+
+
+def _is_half_twist(f, n):
+    return all(f[x] == n - 1 - x for x in range(n))
+
+
+def _tau(f, n):
+    # conjugation by the half twist: tau(f)[x] = n-1 - f[n-1-x]
+    return [n - 1 - f[n - 1 - x] for x in range(n)]
+
+
+def _left_weight_pair(u, v, pos, n):
+    """Slide head letters of v into u until S(v) is contained in F(u).
+
+    S(v) = descent set of v, F(u) = descent set of u^-1.  A generator index
+    i (0-based) is slid when i is in S(v) but not in F(u); the slide keeps
+    the product u v fixed: u gains the letter on the right, v loses it on
+    the left.  Mutates u and v in place; pos is scratch of length n.
+    Returns True when anything moved.
+    """
+    for x in range(n):
+        pos[u[x]] = x
+    changed = False
+    while True:
+        j = -1
+        for i in range(n - 1):
+            # descent of v at i, non-descent of u^-1 at i
+            if v[i] > v[i + 1] and pos[i] < pos[i + 1]:
+                j = i
+                break
+        if j < 0:
+            return changed
+        # u <- u . sigma_{j+1}: swap the values j, j+1 inside u
+        u[pos[j]] = j + 1
+        u[pos[j + 1]] = j
+        pos[j], pos[j + 1] = pos[j + 1], pos[j]
+        # v <- sigma_{j+1}^-1 . v: swap the entries at j, j+1
+        v[j], v[j + 1] = v[j + 1], v[j]
+        changed = True
+
+
+def reference_left_normal_form(n, letters):
+    """Return (inf, factors): letters == Delta^inf . factors, left weighted.
+
+    factors is a list of 0-based one-line tuples, each a proper non-trivial
+    permutation braid (never the identity, never the half twist Delta).
+    """
+    letters = list(letters)
+    if n == 1 or not letters:
+        return 0, []
+
+    # Rewrite each letter as a permutation braid, pulling every Delta^-1
+    # from sigma_i^-1 = Delta^-1 . (Delta sigma_i^-1) to the front.  Moving
+    # Delta^-1 left past a factor conjugates the factor by the half twist;
+    # a factor is flipped once per negative letter strictly after it, so
+    # only the parity of that count matters.
+    total_neg = sum(1 for k in letters if k < 0)
+    p = -total_neg
+    neg_after = total_neg
+    factors = []
+    pos = [0] * n
+    ident = list(range(n))
+    for k in letters:
+        i = abs(k) - 1
+        if k < 0:
+            neg_after -= 1
+            # Delta sigma_i^-1: x -> t_i(n-1-x)
+            f = []
+            for x in range(n):
+                y = n - 1 - x
+                if y == i:
+                    y = i + 1
+                elif y == i + 1:
+                    y = i
+                f.append(y)
+        else:
+            f = list(range(n))
+            f[i], f[i + 1] = f[i + 1], f[i]
+        if neg_after & 1:
+            f = _tau(f, n)
+        factors.append(f)
+        # Right multiplication (Epstein et al., Word Processing in Groups,
+        # ch. 9): the factors before f are left weighted, so left-weight
+        # backwards from the new pair; once a pair is unchanged, every pair
+        # before it still is.  Only the new last factor can become the
+        # identity, and Delta factors can only end up at the front.
+        t = len(factors) - 2
+        while t >= 0 and _left_weight_pair(factors[t], factors[t + 1], pos, n):
+            t -= 1
+        if factors[-1] == ident:
+            factors.pop()
+
+    lead = 0
+    while lead < len(factors) and _is_half_twist(factors[lead], n):
+        lead += 1
+    return p + lead, [tuple(f) for f in factors[lead:]]
+
+
+@st.composite
+def kernel_words(draw, sign=0, max_len=120):
+    """n in 1..10 and a word on n strands whose length is drawn first, so long
+    words are drawn as often as short ones; sign > 0 draws positive letters
+    only, sign < 0 negative ones only, sign 0 both."""
+    n = draw(st.integers(1, 10))
+    if n == 1:
+        return n, ()
+    size = draw(st.integers(0, max_len))
+    signs = (sign,) if sign else (1, -1)
+    letter = st.integers(1, n - 1).flatmap(lambda i: st.sampled_from(signs).map(i.__mul__))
+    return n, tuple(draw(st.lists(letter, min_size=size, max_size=size)))
+
+
+def assert_matches_reference(n, letters):
+    assert _garside_py.left_normal_form(n, letters) == reference_left_normal_form(n, letters)
+
+
+@given(kernel_words())
+@example((2, (1, -1, -1)))
+@example((4, (1, 3, -1)))
+def test_kernel_matches_reference(case):
+    assert_matches_reference(*case)
+
+
+@given(kernel_words(sign=1))
+def test_kernel_matches_reference_on_positive_words(case):
+    assert_matches_reference(*case)
+
+
+@given(kernel_words(sign=-1))
+def test_kernel_matches_reference_on_negative_words(case):
+    assert_matches_reference(*case)
+
+
+@given(kernel_words(max_len=60))
+def test_kernel_matches_reference_on_word_times_inverse(case):
+    n, w = case
+    letters = w + tuple(-k for k in reversed(w))
+    assert_matches_reference(n, letters)
+    assert _garside_py.left_normal_form(n, letters) == (0, [])

@@ -1,13 +1,16 @@
 """Graphs, automorphism search against a brute-force oracle, dihedral algebra."""
 
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
+from chromabraid.chromatic import _edge_index
 from chromabraid.errors import AutBoundError, GraphInputError, IndexRangeError
 from chromabraid.graphs import (
+    _GRAPH_CACHE_SIZE,
     DihedralElement,
+    _automorphisms,
     SimpleGraph,
     automorphisms,
     complete,
@@ -138,6 +141,15 @@ class TestAutomorphisms:
         with pytest.raises(AutBoundError):
             automorphisms(complete(11))
         assert len(automorphisms(cycle(12), max_vertices=12)) == 24
+
+    def test_graph_keyed_caches_are_bounded(self):
+        edges = list(combinations(range(1, 7), 2))
+        for k in range(2 * _GRAPH_CACHE_SIZE):
+            G = from_edge_list(6, [e for b, e in enumerate(edges) if k >> b & 1])
+            automorphisms(G)
+            _edge_index(G)
+        assert _automorphisms.cache_info().currsize == _GRAPH_CACHE_SIZE
+        assert _edge_index.cache_info().currsize == _GRAPH_CACHE_SIZE
 
     def test_is_automorphism_agrees(self):
         G = path(4)

@@ -72,6 +72,9 @@ class TestParsing:
             BraidWord(3, (3,))
         with pytest.raises(IndexRangeError):
             BraidWord(0, ())
+        # the message names the first bad letter
+        with pytest.raises(IndexRangeError, match="^letter -3 out of range for 3 strands$"):
+            BraidWord(3, (1, -3, 0, 5))
 
 
 class TestPermutation:
