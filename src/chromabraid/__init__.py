@@ -24,6 +24,7 @@ from .chromatic import (
     edge_lk,
     equal_in_BGamma,
     i_star,
+    normal_form_in_BGamma,
     phi,
     section,
     unit_vector,

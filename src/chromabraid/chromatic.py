@@ -8,7 +8,9 @@ set, an element being the vector of halved crossing counts over the edges
 (edge_lk).  The full group splits as P(G) -> B(G) -> Aut(G): phi reads the
 underlying permutation, section lifts an automorphism to a distinguished
 word, and i_star combines both into the normal form (edge vector,
-automorphism) that classifies elements.
+automorphism) that classifies elements.  On a complete G, B(G) = B_n and
+the normal form is the left-weighted one.  normal_form_in_BGamma picks the
+form by graph class, and equality in B(G) is equality of forms.
 
 Crossing counts are additive along a word once the second factor is
 relabelled through the permutation of the first, C(uv) = C(u) +
@@ -37,7 +39,7 @@ from .errors import (
     OutOfScopeError,
     StrandMismatchError,
 )
-from .garside import equal_in_Bn
+from .garside import NormalForm, normal_form
 from .graphs import (
     _GRAPH_CACHE_SIZE,
     DihedralElement,
@@ -253,36 +255,33 @@ def i_star(w: BraidWord, G: SimpleGraph) -> ChromaticElement:
     return ChromaticElement(halved_counts(G, counts), g)
 
 
-def equal_in_BGamma(u: BraidWord, v: BraidWord, G: SimpleGraph) -> bool:
-    """Word problem in the graph-conditioned braid group B(G).
+def normal_form_in_BGamma(w: BraidWord, G: SimpleGraph) -> ChromaticElement | NormalForm:
+    """Normal form of w in the graph-conditioned braid group B(G).
 
     Triangle-free G: B(G) is the split extension of Aut(G) by the free
-    abelian group Z^E(G), and (edge_lk, phi) is a complete invariant; u
-    and v are equal iff their permutations agree and u v^-1 has the zero
-    edge vector.  With equal permutations C(u v^-1) = C(u) - C(v) (see the
-    module docstring), so no word u v^-1 is built.  Complete G: the
-    conditioning is vacuous, B(G) = B_n, and the question is delegated to
-    the left-weighted normal form.  Any other graph (a 3-circuit plus a
-    non-edge) is outside the decidable fragment handled here and raises
-    OutOfScopeError.
+    abelian group Z^E(G), and the form is i_star(w, G), the pair (edge
+    vector, automorphism).  Complete G: the conditioning is vacuous,
+    B(G) = B_n, and the form is the left-weighted normal form.  Any other
+    graph (a 3-circuit plus a non-edge) is outside the decidable fragment
+    handled here and raises OutOfScopeError.  This is the one place that
+    chooses by graph class.
     """
-    _check_strands(u, G)
-    _check_strands(v, G)
+    _check_strands(w, G)
     if is_triangle_free(G):
-        pu = phi(u, G)
-        pv = phi(v, G)
-        if pu != pv:
-            return False
-        n = G.vertices
-        mu = crossing_counts(n, u.letters)
-        mv = crossing_counts(n, v.letters)
-        counts = (mu[i - 1][j - 1] - mv[i - 1][j - 1] for i, j in _edge_index(G))
-        return halved_counts(G, counts).is_zero()
+        return i_star(w, G)
     if is_complete(G):
-        return equal_in_Bn(u, v)
+        return normal_form(w)
     raise OutOfScopeError(
         "graph has a 3-circuit but is not complete; equality is not decided here"
     )
+
+
+def equal_in_BGamma(u: BraidWord, v: BraidWord, G: SimpleGraph) -> bool:
+    """Word problem in B(G): u and v are equal iff their normal forms
+    (normal_form_in_BGamma) are; raises OutOfScopeError where that does."""
+    _check_strands(u, G)
+    _check_strands(v, G)
+    return normal_form_in_BGamma(u, G) == normal_form_in_BGamma(v, G)
 
 
 def edge_action(g: Permutation, v: EdgeVector) -> EdgeVector:

@@ -15,18 +15,10 @@ import argparse
 import re
 import sys
 
-from .chromatic import edge_lk, i_star
+from .chromatic import edge_lk, normal_form_in_BGamma
 from .errors import ChromabraidError, GraphInputError, ParseError
-from .garside import equal_in_Bn, normal_form
-from .graphs import (
-    SimpleGraph,
-    automorphisms,
-    complete,
-    cycle,
-    from_edge_list,
-    is_triangle_free,
-    path,
-)
+from .garside import equal_in_Bn
+from .graphs import SimpleGraph, automorphisms, complete, cycle, from_edge_list, path
 from .presentations import (
     artin_presentation,
     cyclic_braid_presentation,
@@ -119,16 +111,11 @@ def cmd_eq(args) -> int:
         equal = equal_in_Bn(u, v)
         print("EQUAL" if equal else "DISTINCT")
     else:
-        from .chromatic import equal_in_BGamma
-
-        equal = equal_in_BGamma(u, v, G)
+        a, b = normal_form_in_BGamma(u, G), normal_form_in_BGamma(v, G)
+        equal = a == b
         print("EQUAL" if equal else "DISTINCT")
-        if is_triangle_free(G):
-            print(f"lhs {i_star(u, G)}")
-            print(f"rhs {i_star(v, G)}")
-        else:
-            print(f"lhs {normal_form(u)}")
-            print(f"rhs {normal_form(v)}")
+        print(f"lhs {a}")
+        print(f"rhs {b}")
     return 0 if equal else 1
 
 

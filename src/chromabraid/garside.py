@@ -4,7 +4,8 @@ Every word factors uniquely as Delta^p A_1 ... A_k where Delta is the
 positive half twist, each A_t is a permutation braid strictly between the
 trivial braid and Delta, and each adjacent pair is left weighted: the
 starting set of A_{t+1} is contained in the finishing set of A_t.  Two
-words are equal in B_n iff their normal forms coincide.
+words are equal in B_n iff their normal forms coincide.  The second,
+independent oracle, lkrep.equal_via_representation, is re-exported here.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 
 from ._kernel import left_normal_form
 from .errors import StrandMismatchError
+from .lkrep import equal_via_representation  # noqa: F401  re-exported
 from .words import BraidWord, Permutation
 
 
@@ -53,40 +55,3 @@ def equal_in_Bn(u: BraidWord, v: BraidWord) -> bool:
             f"comparing words on {u.strands} and {v.strands} strands"
         )
     return normal_form(u) == normal_form(v)
-
-
-def starting_set(g: Permutation) -> frozenset[int]:
-    """Generators sigma_i that are prefixes of the permutation braid of g:
-    exactly the descents g(i) > g(i+1)."""
-    return frozenset(
-        i for i in range(1, g.size) if g.apply(i) > g.apply(i + 1)
-    )
-
-
-def finishing_set(g: Permutation) -> frozenset[int]:
-    """Generators sigma_i that are suffixes of the permutation braid of g:
-    the descents of g^-1."""
-    return starting_set(g.inverse())
-
-
-def is_left_weighted(nf: NormalForm) -> bool:
-    """Structural validity check used by the tests: proper factors, adjacent
-    pairs left weighted."""
-    n = nf.strands
-    half_twist = tuple(range(n, 0, -1))
-    for f in nf.factors:
-        if f.is_identity() or f.image == half_twist:
-            return False
-    return all(
-        starting_set(nf.factors[t + 1]) <= finishing_set(nf.factors[t])
-        for t in range(len(nf.factors) - 1)
-    )
-
-
-def equal_via_representation(u: BraidWord, v: BraidWord) -> bool:
-    """Faithful-representation comparison; see lkrep.  Exact at any n; an
-    EQUAL-looking pair whose exact matrices could exceed lkrep's size limit
-    raises ResourceLimitError."""
-    from .lkrep import equal_via_representation as _impl
-
-    return _impl(u, v)

@@ -22,6 +22,11 @@ class CheckLine:
             if field.split() != [field]:
                 raise ValueError(f"report field with whitespace or empty: {field!r}")
 
+    @classmethod
+    def comparing(cls, check_id: str, lhs, rhs) -> CheckLine:
+        """The check that two normal forms agree, showing both."""
+        return cls(check_id, lhs == rhs, str(lhs), str(rhs))
+
     def render(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"
         return f"{self.check_id} {verdict} {self.lhs} {self.rhs}"

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 
 from ._kernel import _alphabet, crossing_counts
 from .errors import IndexRangeError, ParseError, StrandMismatchError
@@ -281,13 +280,3 @@ class CrossingMatrix:
 def crossing_matrix(w: BraidWord) -> CrossingMatrix:
     counts = crossing_counts(w.strands, w.letters)
     return CrossingMatrix(tuple(tuple(row) for row in counts))
-
-
-@lru_cache(maxsize=None)
-def _half_twist_image(n: int) -> tuple[int, ...]:
-    return tuple(range(n, 0, -1))
-
-
-def half_twist_perm(n: int) -> Permutation:
-    """Permutation of the positive half twist: i -> n + 1 - i."""
-    return Permutation(_half_twist_image(n))

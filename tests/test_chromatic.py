@@ -12,6 +12,7 @@ from chromabraid.chromatic import (
     edge_lk,
     equal_in_BGamma,
     i_star,
+    normal_form_in_BGamma,
     phi,
     section,
     unit_vector,
@@ -24,7 +25,7 @@ from chromabraid.errors import (
     OutOfScopeError,
     StrandMismatchError,
 )
-from chromabraid.garside import equal_in_Bn
+from chromabraid.garside import equal_in_Bn, normal_form
 from chromabraid.graphs import (
     DihedralElement,
     automorphisms,
@@ -239,6 +240,28 @@ class TestIStar:
             assert x.vector == edge_lk(concat(w, inverse(section(g, G))), G)
 
 
+class TestNormalFormInBGamma:
+    def test_triangle_free_is_i_star(self):
+        for G in (cycle(5), path(5), star(5), path(2)):
+            w = concat(s_word(1, 2, G.vertices), section(automorphisms(G)[-1], G))
+            assert normal_form_in_BGamma(w, G) == i_star(w, G)
+
+    def test_complete_is_garside(self):
+        for n in (3, 4):
+            w = BraidWord(n, (1, 2, -1, 2))
+            assert normal_form_in_BGamma(w, complete(n)) == normal_form(w)
+
+    def test_out_of_scope_graph(self):
+        G = from_edge_list(4, [(1, 2), (2, 3), (1, 3)])
+        with pytest.raises(OutOfScopeError, match="^graph has a 3-circuit but is not complete"):
+            normal_form_in_BGamma(BraidWord(4), G)
+
+    def test_strand_mismatch(self):
+        for G in (cycle(4), complete(4), from_edge_list(4, [(1, 2), (2, 3), (1, 3)])):
+            with pytest.raises(StrandMismatchError):
+                normal_form_in_BGamma(BraidWord(5), G)
+
+
 class TestEqualInBGamma:
     def test_untangling(self):
         # A transient twist over a non-edge vanishes in B(Gamma) but is a
@@ -277,8 +300,8 @@ class TestEqualInBGamma:
 
     @pytest.mark.parametrize("G", [cycle(4), cycle(7), path(5), star(5)])
     def test_matches_word_definition(self, G):
-        # equal_in_BGamma reads C(u) - C(v); rebuild it from the pure word
-        # u v^-1 that the definition names, on pairs with equal permutations
+        # equal_in_BGamma compares i_star forms; check it against the edge
+        # vector of the pure word u v^-1, on pairs with equal permutations
         rng = random.Random(G.vertices * 17 + len(G.edges))
         n = G.vertices
         bands = [s_word(i, j, n) for i in range(1, n + 1) for j in range(i + 1, n + 1)]

@@ -170,6 +170,22 @@ class TestEq:
         assert lines[1].startswith("lhs D^")
         assert lines[2].startswith("rhs D^")
 
+    def test_path_graph_shows_edge_vectors(self, capsys):
+        code, out, err = run(capsys, "eq", "1 1", "", "--graph", "path:3")
+        assert code == 1
+        assert out == "DISTINCT\nlhs [1,0|1,2,3]\nrhs [0,0|1,2,3]\n"
+
+    def test_out_of_scope_graph(self, capsys, tmp_path):
+        f = tmp_path / "triangle4.txt"
+        f.write_text("4 3\n1 2\n2 3\n1 3\n")
+        code, out, err = run(capsys, "eq", "1", "1", "--graph", str(f))
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: graph has a 3-circuit but is not complete; "
+            "equality is not decided here\n"
+        )
+
     def test_n_and_graph_must_agree(self, capsys):
         code, out, err = run(capsys, "eq", "1", "1", "-n", "5", "--graph", "cycle:4")
         assert code == 2

@@ -8,23 +8,10 @@ import pytest
 
 from chromabraid import _garside_py, _kernel
 from chromabraid.errors import IndexRangeError, StrandMismatchError
-from chromabraid.garside import (
-    NormalForm,
-    equal_in_Bn,
-    finishing_set,
-    is_left_weighted,
-    normal_form,
-    starting_set,
-)
-from chromabraid.words import (
-    BraidWord,
-    Permutation,
-    concat,
-    half_twist_perm,
-    inverse,
-    perm_of,
-    power,
-)
+from chromabraid.garside import NormalForm, equal_in_Bn, normal_form
+from chromabraid.words import BraidWord, Permutation, concat, inverse, perm_of, power
+
+from braid_helpers import finishing_set, half_twist_perm, is_left_weighted, starting_set
 
 
 def conjugate(w, by):

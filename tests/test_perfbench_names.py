@@ -1,0 +1,44 @@
+"""The package names the benchmark's tracer and workloads reach into.
+
+perfbench/spans.py wraps functions by module and attribute name, and the
+long_words workload reads _kernel._impl and the KERNEL name; a rename in
+src/ would otherwise surface only when the benchmark runs.  This test only
+reads perfbench/.
+"""
+
+import importlib
+import sys
+from pathlib import Path
+
+import chromabraid
+from chromabraid import _kernel
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _resolve(module, attr):
+    owner = importlib.import_module(module)
+    for part in attr.split("."):
+        owner = getattr(owner, part)
+    return owner
+
+
+def test_tracer_resolves_every_target(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.delitem(sys.modules, "spans", raising=False)
+    spans = importlib.import_module("spans")
+    originals = {target: _resolve(target[1], target[2]) for target in spans.TARGETS}
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for target, original in originals.items():
+            assert _resolve(target[1], target[2]) is not original, target[0]
+    finally:
+        tracer.uninstall()
+    for target, original in originals.items():
+        assert _resolve(target[1], target[2]) is original, target[0]
+
+
+def test_kernel_names():
+    assert callable(_kernel._impl.left_normal_form)
+    assert chromabraid.KERNEL == _kernel.KERNEL == "pure"

@@ -14,7 +14,6 @@ from chromabraid.words import (
     e_word,
     format_word,
     free_reduce,
-    half_twist_perm,
     inverse,
     is_pure,
     parse_word,
@@ -26,6 +25,8 @@ from chromabraid.words import (
     psi_s,
     s_word,
 )
+
+from braid_helpers import half_twist_perm
 
 
 def rand_word(rng, n, length):
@@ -98,6 +99,7 @@ class TestPermutation:
 
     def test_half_twist(self):
         assert half_twist_perm(4).image == (4, 3, 2, 1)
+        assert perm_of(BraidWord(4, (1, 2, 1, 3, 2, 1))) == half_twist_perm(4)
 
 
 class TestPermOf:
