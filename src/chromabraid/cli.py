@@ -27,7 +27,7 @@ from .presentations import (
     markoff_presentation,
     pure_chromatic_presentation,
 )
-from .words import crossing_matrix, format_word, parse_word, perm_of
+from .words import crossing_matrix, parse_word, perm_of
 
 _NAMED_GRAPH = re.compile(r"(cycle|path|complete):([0-9]+)")
 _CONSTRUCTORS = {"cycle": cycle, "path": path, "complete": complete}

@@ -4,8 +4,22 @@ Every word factors uniquely as Delta^p A_1 ... A_k where Delta is the
 positive half twist, each A_t is a permutation braid strictly between the
 trivial braid and Delta, and each adjacent pair is left weighted: the
 starting set of A_{t+1} is contained in the finishing set of A_t.  Two
-words are equal in B_n iff their normal forms coincide.  The second,
-independent oracle, lkrep.equal_via_representation, is re-exported here.
+words are equal in B_n iff their normal forms coincide.
+
+equal_in_Bn does the least work that still gives an exact answer, in order:
+
+1. DISTINCT when the exponent sums or the permutations differ; both are
+   homomorphisms (B_n -> Z and B_n -> S_n), read off the raw words in O(L).
+2. Free-reduce both words and drop their longest common prefix and suffix:
+   in any group p.a.s = p.b.s iff a = b.
+3. EQUAL when the two middles are the same letters.
+4. Otherwise compare the normal forms of the two middles.
+
+normal_form takes no shortcut: verify-paper prints the forms of whole
+words.  The second, independent oracle,
+lkrep.equal_via_representation, is re-exported here; it takes no such
+shortcut and always works on the whole words, so that it cross-checks this
+one rather than sharing its reduction.
 """
 
 from __future__ import annotations
@@ -15,7 +29,7 @@ from dataclasses import dataclass
 from ._kernel import left_normal_form
 from .errors import StrandMismatchError
 from .lkrep import equal_via_representation  # noqa: F401  re-exported
-from .words import BraidWord, Permutation
+from .words import BraidWord, Permutation, free_reduce, perm_of
 
 
 @dataclass(frozen=True)
@@ -49,9 +63,27 @@ def normal_form(w: BraidWord) -> NormalForm:
     return NormalForm(w.strands, p, factors)
 
 
+def _exponent_sum(letters: tuple[int, ...]) -> int:
+    # letters are nonzero: the positive count minus the negative count
+    return len(letters) - 2 * sum(map((0).__gt__, letters))
+
+
 def equal_in_Bn(u: BraidWord, v: BraidWord) -> bool:
     if u.strands != v.strands:
         raise StrandMismatchError(
             f"comparing words on {u.strands} and {v.strands} strands"
         )
-    return normal_form(u) == normal_form(v)
+    if _exponent_sum(u.letters) != _exponent_sum(v.letters) or perm_of(u) != perm_of(v):
+        return False
+    a, b = free_reduce(u).letters, free_reduce(v).letters
+    m = min(len(a), len(b))
+    i = 0
+    while i < m and a[i] == b[i]:
+        i += 1
+    j = 0
+    while j < m - i and a[-1 - j] == b[-1 - j]:
+        j += 1
+    a, b = a[i:len(a) - j], b[i:len(b) - j]
+    if a == b:
+        return True
+    return normal_form(BraidWord(u.strands, a)) == normal_form(BraidWord(u.strands, b))

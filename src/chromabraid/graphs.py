@@ -86,6 +86,7 @@ def is_3_circuit(G: SimpleGraph, i: int, j: int, k: int) -> bool:
     return G.has_edge(i, j) and G.has_edge(j, k) and G.has_edge(i, k)
 
 
+@lru_cache(maxsize=_GRAPH_CACHE_SIZE)
 def is_triangle_free(G: SimpleGraph) -> bool:
     adj = [set() for _ in range(G.vertices + 1)]
     for i, j in G.edges:

@@ -14,7 +14,6 @@ from .errors import IndexRangeError
 from .garside import normal_form
 from .graphs import SimpleGraph, complete, cycle, path
 from .presentations import (
-    Presentation,
     artin_presentation,
     markoff_presentation,
     pure_chromatic_presentation,

@@ -9,7 +9,9 @@ import pytest
 
 from chromabraid.cli import main, parse_graph_spec, read_graph_file
 from chromabraid.errors import GraphInputError
+from chromabraid.garside import normal_form
 from chromabraid.graphs import cycle, from_edge_list
+from chromabraid.words import parse_word
 
 
 def run(capsys, *argv):
@@ -147,6 +149,21 @@ class TestEq:
         code, out, err = run(capsys, "eq", "1", "2", "-n", "3")
         assert code == 1
         assert out == "DISTINCT\n"
+
+    @pytest.mark.parametrize("u, v, n, verdict", [
+        ("1 1", "", "3", "DISTINCT"),              # exponent sums differ
+        ("1 -2", "2 -1", "3", "DISTINCT"),         # permutations differ
+        ("1 2 -2 3", "1 3", "4", "EQUAL"),         # same after free reduction
+        ("3 1 2 1 3", "3 2 1 2 3", "4", "EQUAL"),  # middles differ, forms agree
+        ("1 1 2 2", "2 2 1 1", "3", "DISTINCT"),   # middles differ, forms differ
+    ])
+    def test_verdict_is_the_normal_form_comparison(self, capsys, u, v, n, verdict):
+        k = int(n)
+        same_form = normal_form(parse_word(u, k)) == normal_form(parse_word(v, k))
+        assert verdict == ("EQUAL" if same_form else "DISTINCT")
+        code, out, err = run(capsys, "eq", u, v, "-n", n)
+        assert out == verdict + "\n"
+        assert code == (0 if same_form else 1)
 
     def test_untangling_with_graph(self, capsys):
         word = "2 1 1 -2"

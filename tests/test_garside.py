@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from chromabraid import _garside_py, _kernel
+from chromabraid import _garside_py, _kernel, garside
 from chromabraid.errors import IndexRangeError, StrandMismatchError
 from chromabraid.garside import NormalForm, equal_in_Bn, normal_form
 from chromabraid.words import BraidWord, Permutation, concat, inverse, perm_of, power
@@ -240,6 +240,40 @@ class TestEquality:
             for i in range(1, n):
                 lhs = conjugate(BraidWord(n, (i,)), d)
                 assert equal_in_Bn(lhs, BraidWord(n, (n - i,)))
+
+    def test_same_invariants_still_distinct(self):
+        # same permutation (the identity) and exponent sum (4), different braids
+        u, v = BraidWord(3, (1, 1, 2, 2)), BraidWord(3, (2, 2, 1, 1))
+        assert perm_of(u) == perm_of(v)
+        assert normal_form(u) != normal_form(v)
+        assert not equal_in_Bn(u, v)
+
+    @pytest.mark.parametrize("n, u, v, equal", [
+        (3, (1, 1), (), False),          # exponent sums 2 and 0
+        (3, (1, -2), (2, -1), False),    # exponent sums 0, permutations differ
+        (4, (1, 2, -2, 3, 1, -1), (1, 3), True),  # the same after free reduction
+        (4, (3, 1, 2), (3, 1, -1, 1, 2), True),
+    ])
+    def test_shortcuts_decide_without_normal_forms(self, monkeypatch, n, u, v, equal):
+        def refuse(w):
+            raise AssertionError(f"normal_form called on {w.letters}")
+
+        monkeypatch.setattr(garside, "normal_form", refuse)
+        assert equal_in_Bn(BraidWord(n, u), BraidWord(n, v)) is equal
+
+    def test_normal_forms_see_only_the_middles(self, monkeypatch):
+        seen = []
+
+        def recording(w):
+            seen.append(w.letters)
+            return normal_form(w)
+
+        monkeypatch.setattr(garside, "normal_form", recording)
+        prefix, suffix = (3, -1, 3), (2, 3, 3)
+        u = BraidWord(4, prefix + (1, 2, 1) + suffix)
+        v = BraidWord(4, prefix + (2, 1, 2) + suffix)
+        assert equal_in_Bn(u, v)
+        assert seen == [(1, 2, 1), (2, 1, 2)]
 
     def test_infimum_shift(self):
         rng = random.Random(24)

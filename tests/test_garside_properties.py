@@ -1,7 +1,9 @@
 """Property tests tying the Garside kernel to the slide-by-slide pass it
 replaced, kept here verbatim as the reference: every sigma_i^-1 enters as
 Delta^-1 . (Delta sigma_i^-1) with a per-letter parity precount, and every
-Delta factor walks to the front one pair op at a time."""
+Delta factor walks to the front one pair op at a time.  Also ties the
+shortcuts of equal_in_Bn (invariants, free reduction, common prefix and
+suffix) to a plain comparison of the two words' normal forms."""
 
 import pytest
 
@@ -9,6 +11,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, strategies as st  # noqa: E402
 
 from chromabraid import _garside_py  # noqa: E402
+from chromabraid.garside import equal_in_Bn, normal_form  # noqa: E402
+from chromabraid.words import BraidWord  # noqa: E402
+
+from braid_strategies import letters, rewrite_pairs, word_pairs  # noqa: E402
 
 
 def _is_half_twist(f, n):
@@ -148,3 +154,52 @@ def test_kernel_matches_reference_on_word_times_inverse(case):
     letters = w + tuple(-k for k in reversed(w))
     assert_matches_reference(n, letters)
     assert _garside_py.left_normal_form(n, letters) == (0, [])
+
+
+def assert_decided_by_normal_forms(u, v):
+    assert equal_in_Bn(u, v) == (normal_form(u) == normal_form(v))
+
+
+@given(word_pairs(max_n=8, max_len=30))
+def test_equal_in_Bn_on_random_pairs(pair):
+    assert_decided_by_normal_forms(*pair)
+
+
+@given(rewrite_pairs(max_n=8, max_len=30))
+def test_equal_in_Bn_on_rewrite_pairs(pair):
+    assert_decided_by_normal_forms(*pair)
+    assert equal_in_Bn(*pair)
+
+
+@st.composite
+def twisted_pairs(draw, max_n=8, max_len=20):
+    """A word and a copy with sigma_i^2 and sigma_i^-2 inserted at two places:
+    the same permutation and exponent sum, usually a different braid."""
+    n = draw(st.integers(2, max_n))
+    w = draw(letters(n, max_len))
+    v = list(w)
+    i = draw(st.integers(1, n - 1))
+    for twist in ((i, i), (-i, -i)):
+        pos = draw(st.integers(0, len(v)))
+        v[pos:pos] = twist
+    return BraidWord(n, w), BraidWord(n, tuple(v))
+
+
+@st.composite
+def framed_pairs(draw):
+    """p.a.s and p.b.s for a shared random prefix p and suffix s, where (a, b)
+    is a random, a rewrite or a twisted pair."""
+    a, b = draw(st.one_of(word_pairs(max_n=8), rewrite_pairs(max_n=8), twisted_pairs()))
+    n = a.strands
+    p, s = draw(letters(n, 20)), draw(letters(n, 20))
+    return BraidWord(n, p + a.letters + s), BraidWord(n, p + b.letters + s)
+
+
+@given(twisted_pairs())
+def test_equal_in_Bn_on_twisted_pairs(pair):
+    assert_decided_by_normal_forms(*pair)
+
+
+@given(framed_pairs())
+def test_equal_in_Bn_on_framed_pairs(pair):
+    assert_decided_by_normal_forms(*pair)
