@@ -10,9 +10,9 @@ Python, in chromabraid._garside_py; chromabraid.KERNEL is always "pure".
 
 The unbounded caches are keyed by a strand count n, by n and a letter, or by
 an element of the dihedral group D_n (compute_cocycle, cycle,
-dihedral_lift_counts and private tables in _kernel, graphs, extension, lkrep
-and words), so they hold a fixed amount per n and the range of strand
-counts a process uses bounds them.  The three caches keyed by a graph
+dihedral_lift_counts and private tables in graphs, extension and lkrep), so
+they hold a fixed amount per n and the range of strand counts a process uses
+bounds them; _kernel._alphabet keeps 64 strand counts.  The three caches keyed by a graph
 (graphs._automorphisms, graphs.is_triangle_free and chromatic._edge_index)
 keep the graphs._GRAPH_CACHE_SIZE most recently used graphs.
 """

@@ -18,13 +18,17 @@ once, at the end.  Per letter:
 - sigma_i^-1 whose sigma_i is a suffix of the last factor cancels there: a
   prefix of a left-weighted factor keeps the list left weighted.
 - Any other sigma_i^-1 = Delta^-1 . (Delta sigma_i^-1): the Delta^-1 goes to
-  the front, conjugating every stored factor, which is a toggle of flip.
-- The new factor is appended and pairs are left weighted backwards from it
-  (the meet step of El-Rifai and Morton, "Algorithms for positive braids",
-  1994); left weighting commutes with tau, so it runs in the stored frame.
-  A pair op that yields Delta in front, (f, g) -> (Delta, g'), moves that
-  Delta to the front at once, conjugating the factors before it by tau,
-  and the list is left weighted from there on.  So Delta is never stored.
+  the front, conjugating every stored factor, which is a toggle of flip,
+  and the factor Delta sigma_i^-1 is appended.
+- sigma_i that is a suffix of the last factor is appended as an atom, since
+  (last, sigma_i) is left weighted; any other sigma_i is absorbed into last.
+- The factor that grew, an appended Delta sigma_i^-1 or a last factor that
+  absorbed sigma_i, is left weighted backwards (the meet step of El-Rifai
+  and Morton, "Algorithms for positive braids", 1994); left weighting
+  commutes with tau, so it runs in the stored frame.
+  A factor that grows to Delta, by absorption or by a pair op, moves to
+  the front at once, conjugating the factors before it by tau, and the
+  list is left weighted from there on.  So Delta is never stored.
 """
 
 from __future__ import annotations
@@ -95,18 +99,30 @@ def left_normal_form(n, letters):
         i = abs(k) - 1
         if flip:
             i = n - 2 - i
-        if k < 0:
-            if factors:
-                last = factors[-1]
-                a = last.index(i)
-                b = last.index(i + 1)
-                if b < a:
-                    # sigma_{i+1} is a suffix of last: last <- last . sigma^-1
-                    last[a] = i + 1
-                    last[b] = i
-                    if last == ident:
-                        factors.pop()
-                    continue
+        simple = False
+        if factors:
+            last = factors[-1]
+            a = last.index(i)
+            b = last.index(i + 1)
+            # sigma_{i+1} is a suffix of last iff b < a; last . sigma_{i+1}^-1
+            # is simple iff it is, last . sigma_{i+1} iff it is not
+            simple = (a < b) == (k > 0)
+        if simple:
+            # last <- last . sigma^{+-1}: swap the values i, i+1 inside last
+            last[a] = i + 1
+            last[b] = i
+            if k < 0:
+                if last == ident:
+                    factors.pop()
+                continue
+        elif k > 0:
+            # no factor yet, or (last, sigma_{i+1}) is left weighted already
+            f = ident[:]
+            f[i] = i + 1
+            f[i + 1] = i
+            factors.append(f)
+            continue
+        else:
             # sigma^-1 = Delta^-1 . (Delta sigma^-1); the Delta^-1 goes to
             # the front, conjugating every factor: the frame toggles
             p -= 1
@@ -116,16 +132,12 @@ def left_normal_form(n, letters):
             f = delta[:]
             f[n - 1 - i] = i + 1
             f[n - 2 - i] = i
-        else:
-            f = ident[:]
-            f[i] = i + 1
-            f[i + 1] = i
-        factors.append(f)
-        # the factors before f are left weighted; once a pair is unchanged,
-        # every pair before it still is.  Only the new last factor can
-        # become the identity.
-        t = len(factors) - 2
-        while t >= 0 and _left_weight_pair(factors[t], factors[t + 1], pos, n):
+            factors.append(f)
+        # factors[t] grew on the right; left weight backwards from it (the
+        # factors before it are left weighted, and stay so once a pair is
+        # unchanged).  Only an appended Delta sigma^-1 can become the identity.
+        t = len(factors) - 1
+        while True:
             if factors[t] == delta:
                 # the new Delta goes to the front past the factors before it
                 for s in range(t):
@@ -134,7 +146,9 @@ def left_normal_form(n, letters):
                 p += 1
                 break
             t -= 1
-        if factors[-1] == ident:
+            if t < 0 or not _left_weight_pair(factors[t], factors[t + 1], pos, n):
+                break
+        if factors and factors[-1] == ident:
             factors.pop()
 
     if flip:

@@ -2,7 +2,8 @@
 
 The kernel does not check its letters: unchecked, it reads letter 0 as
 generator index -1 and returns (1, []) for (0,) on n=3.  Both entry points
-therefore reject letters outside 0 < |k| < n here, before the kernel runs.
+therefore reject letters outside 0 < |k| < n, and strand counts above
+MAX_STRANDS, here, before the kernel runs.
 """
 
 from __future__ import annotations
@@ -10,14 +11,25 @@ from __future__ import annotations
 import functools
 
 from . import _garside_py as _impl
-from .errors import IndexRangeError
+from .errors import IndexRangeError, ResourceLimitError
 
 # one kernel; the name stays because perfbench and chromabraid.KERNEL report it
 KERNEL = "pure"
 
+# The most strands a word or graph may have, checked before any allocation
+# sized by the strand count: a crossing matrix or complete graph at the cap
+# takes tens of MB, and _alphabet keeps at most 64 tables of 2n - 2 letters.
+MAX_STRANDS = 1000
 
-@functools.lru_cache(maxsize=None)
+
+def check_strands(n):
+    if n > MAX_STRANDS:
+        raise ResourceLimitError(f"{n} strands exceed the limit of {MAX_STRANDS}")
+
+
+@functools.lru_cache(maxsize=64)
 def _alphabet(n):
+    check_strands(n)
     return frozenset(range(1 - n, n)) - {0}
 
 

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
+from ._kernel import check_strands
 from .errors import AutBoundError, GraphInputError, IndexRangeError
 from .words import Permutation
 
@@ -42,6 +43,7 @@ def from_edge_list(n: int, pairs) -> SimpleGraph:
     """Build a graph from vertex pairs; multi-edges collapse, loops are errors."""
     if n < 0:
         raise GraphInputError(f"vertex count must be >= 0, got {n}")
+    check_strands(n)
     edges = set()
     for i, j in pairs:
         if i == j:
@@ -56,13 +58,13 @@ def from_edge_list(n: int, pairs) -> SimpleGraph:
 def cycle(n: int) -> SimpleGraph:
     if n < 3:
         raise GraphInputError(f"cycle graph needs n >= 3, got {n}")
-    return from_edge_list(n, [(i, i + 1) for i in range(1, n)] + [(1, n)])
+    return from_edge_list(n, ((i, i % n + 1) for i in range(1, n + 1)))
 
 
 def path(n: int) -> SimpleGraph:
     if n < 1:
         raise GraphInputError(f"path graph needs n >= 1, got {n}")
-    return from_edge_list(n, [(i, i + 1) for i in range(1, n)])
+    return from_edge_list(n, ((i, i + 1) for i in range(1, n)))
 
 
 def complete(n: int) -> SimpleGraph:
@@ -190,14 +192,6 @@ class DihedralElement:
     @staticmethod
     def identity(n: int) -> DihedralElement:
         return DihedralElement(n, 0, False)
-
-    @staticmethod
-    def rotation_gen(n: int) -> DihedralElement:
-        return DihedralElement(n, 1, False)
-
-    @staticmethod
-    def reflection_gen(n: int) -> DihedralElement:
-        return DihedralElement(n, 0, True)
 
     def __mul__(self, other: DihedralElement) -> DihedralElement:
         if other.order != self.order:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from ._kernel import _alphabet, crossing_counts
+from ._kernel import _alphabet, check_strands, crossing_counts
 from .errors import IndexRangeError, ParseError, StrandMismatchError
 
 _TOKEN = re.compile(r"[+-]?[0-9]+")
@@ -101,7 +101,8 @@ class BraidWord:
     def __post_init__(self):
         if self.strands < 1:
             raise IndexRangeError(f"strand count must be >= 1, got {self.strands}")
-        # the kernel's C-level set test; the loop only finds the bad letter
+        # the kernel's C-level set test, after its strand cap; the loop only
+        # finds the bad letter
         alphabet = _alphabet(self.strands)
         if not alphabet.issuperset(self.letters):
             bad = next(k for k in self.letters if k not in alphabet)
@@ -119,6 +120,7 @@ class BraidWord:
 
 def parse_word(text: str, n: int) -> BraidWord:
     """Parse whitespace-separated signed letter indices into a word on n strands."""
+    check_strands(n)
     letters = []
     for position, token in enumerate(text.split(), start=1):
         if not _TOKEN.fullmatch(token):
@@ -173,6 +175,7 @@ def a_word(i: int, j: int, n: int) -> BraidWord:
     """sigma_{j-1} sigma_{j-2} ... sigma_i, the strand-i-to-position-j run; empty when i = j."""
     if not 1 <= i <= j <= n:
         raise IndexRangeError(f"a_word needs 1 <= i <= j <= n, got ({i}, {j}) on {n}")
+    check_strands(n)
     return BraidWord(n, tuple(range(j - 1, i - 1, -1)))
 
 
@@ -180,6 +183,7 @@ def s_word(i: int, j: int, n: int) -> BraidWord:
     """Band generator: sigma_i^2 conjugated so strands i and j do the full twist."""
     if not 1 <= i < j <= n:
         raise IndexRangeError(f"s_word needs 1 <= i < j <= n, got ({i}, {j}) on {n}")
+    check_strands(n)
     run = tuple(range(j - 1, i, -1))
     return BraidWord(n, run + (i, i) + tuple(-k for k in reversed(run)))
 

@@ -7,11 +7,12 @@ from pathlib import Path
 
 import pytest
 
+from chromabraid._kernel import MAX_STRANDS
 from chromabraid.cli import main, parse_graph_spec, read_graph_file
-from chromabraid.errors import GraphInputError
+from chromabraid.errors import GraphInputError, ResourceLimitError
 from chromabraid.garside import normal_form
 from chromabraid.graphs import cycle, from_edge_list
-from chromabraid.words import parse_word
+from chromabraid.words import BraidWord, parse_word
 
 
 def run(capsys, *argv):
@@ -257,6 +258,49 @@ class TestInvariants:
         assert code == 0
         assert "perm: 1 2 3" in out
         assert "pure: yes" in out
+
+
+class TestStrandCap:
+    OVER = str(MAX_STRANDS + 1)
+    REFUSAL = f"error: {MAX_STRANDS + 1} strands exceed the limit of {MAX_STRANDS}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eq", "1", "1", "-n", OVER),
+            ("invariants", "1", "-n", OVER),
+            ("eq", "1", "1", "--graph", "cycle:" + OVER),
+            ("invariants", "", "--graph", "path:" + OVER),
+            ("aut", "complete:" + OVER),
+            ("present", "pure", "cycle:" + OVER),
+        ],
+    )
+    def test_exit_2_with_one_error_line(self, capsys, argv):
+        assert run(capsys, *argv) == (2, "", self.REFUSAL)
+
+    def test_graph_file(self, capsys, tmp_path):
+        f = tmp_path / "g.txt"
+        f.write_text(self.OVER + " 1\n1 2\n")
+        assert run(capsys, "aut", str(f)) == (2, "", self.REFUSAL)
+
+    def test_far_above_the_cap(self, capsys):
+        # the same checks refuse a count just above the cap first, so a lost
+        # check fails here instead of allocating gigabytes below
+        for build in (lambda n: parse_word("1", n), BraidWord):
+            with pytest.raises(ResourceLimitError):
+                build(MAX_STRANDS + 1)
+        code, out, err = run(capsys, "eq", "-n", "100000000", "1", "1")
+        assert (code, out) == (2, "")
+        assert err == f"error: 100000000 strands exceed the limit of {MAX_STRANDS}\n"
+
+    def test_at_the_cap(self, capsys):
+        code, out, err = run(capsys, "invariants", "1", "-n", str(MAX_STRANDS))
+        assert code == 0
+        lines = out.splitlines()
+        rest = " ".join(str(k) for k in range(3, MAX_STRANDS + 1))
+        assert lines[:4] == [f"strands: {MAX_STRANDS}", f"perm: 2 1 {rest}", "pure: no", "crossings:"]
+        assert len(lines) == 4 + MAX_STRANDS
+        assert lines[4].startswith("0 1 0 ")
 
 
 class TestVerifyPaper:

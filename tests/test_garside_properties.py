@@ -1,9 +1,10 @@
 """Property tests tying the Garside kernel to the slide-by-slide pass it
-replaced, kept here verbatim as the reference: every sigma_i^-1 enters as
-Delta^-1 . (Delta sigma_i^-1) with a per-letter parity precount, and every
-Delta factor walks to the front one pair op at a time.  Also ties the
-shortcuts of equal_in_Bn (invariants, free reduction, common prefix and
-suffix) to a plain comparison of the two words' normal forms."""
+replaced, kept here verbatim as the reference: every letter enters as its own
+factor, every sigma_i^-1 as Delta^-1 . (Delta sigma_i^-1) with a per-letter
+parity precount, and every Delta factor walks to the front one pair op at a
+time.  Also ties the shortcuts of equal_in_Bn (invariants, free reduction,
+common prefix and suffix) to a plain comparison of the two words' normal
+forms."""
 
 import pytest
 
@@ -12,7 +13,7 @@ from hypothesis import example, given, strategies as st  # noqa: E402
 
 from chromabraid import _garside_py  # noqa: E402
 from chromabraid.garside import equal_in_Bn, normal_form  # noqa: E402
-from chromabraid.words import BraidWord  # noqa: E402
+from chromabraid.words import BraidWord, a_word  # noqa: E402
 
 from braid_strategies import letters, rewrite_pairs, word_pairs  # noqa: E402
 
@@ -131,11 +132,43 @@ def assert_matches_reference(n, letters):
     assert _garside_py.left_normal_form(n, letters) == reference_left_normal_form(n, letters)
 
 
+def half_twist_word(n):
+    """Delta as the positive runs a_word(1, 2) a_word(1, 3) ... a_word(1, n)."""
+    return sum((a_word(1, j, n).letters for j in range(2, n + 1)), ())
+
+
 @given(kernel_words())
 @example((2, (1, -1, -1)))
 @example((4, (1, 3, -1)))
+# sigma_2 sigma_1 absorbed behind sigma_1 complete Delta: (1, [sigma_2])
+@example((3, (1, 1, 2, 1)))
+@example((4, half_twist_word(4)))
+@example((5, half_twist_word(5)))
+@example((5, (-1,) + half_twist_word(5) + (2, -3)))
 def test_kernel_matches_reference(case):
     assert_matches_reference(*case)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8])
+def test_positive_runs_need_no_pair_op(n, monkeypatch):
+    """A sigma_i that is not a suffix of the last factor is absorbed into it
+    and one that is becomes a new factor, neither by a pair op: a descending
+    run is one simple factor, and so is each prefix of a half-twist word."""
+    calls = []
+    pair_op = _garside_py._left_weight_pair
+
+    def counted(*args):
+        calls.append(args)
+        return pair_op(*args)
+
+    monkeypatch.setattr(_garside_py, "_left_weight_pair", counted)
+    run = a_word(1, n, n).letters
+    words = [run, run + run, half_twist_word(n), half_twist_word(n) * 3]
+    for letters in words:
+        assert _garside_py.left_normal_form(n, letters) == reference_left_normal_form(n, letters)
+    assert _garside_py.left_normal_form(n, run) == (0, [tuple(range(1, n)) + (0,)])
+    assert _garside_py.left_normal_form(n, half_twist_word(n) * 3) == (3, [])
+    assert calls == []
 
 
 @given(kernel_words(sign=1))

@@ -6,7 +6,8 @@ from itertools import combinations, permutations
 import pytest
 
 from chromabraid.chromatic import _edge_index
-from chromabraid.errors import AutBoundError, GraphInputError, IndexRangeError
+from chromabraid._kernel import MAX_STRANDS
+from chromabraid.errors import AutBoundError, GraphInputError, IndexRangeError, ResourceLimitError
 from chromabraid.graphs import (
     _GRAPH_CACHE_SIZE,
     DihedralElement,
@@ -66,6 +67,18 @@ class TestConstruction:
             cycle(2)
         with pytest.raises(GraphInputError):
             path(0)
+
+    @pytest.mark.parametrize(
+        "build", [cycle, path, complete, lambda n: from_edge_list(n, [])],
+        ids=["cycle", "path", "complete", "from_edge_list"],
+    )
+    def test_strand_cap(self, build):
+        with pytest.raises(ResourceLimitError, match=f"^{MAX_STRANDS + 1} strands exceed"):
+            build(MAX_STRANDS + 1)
+
+    def test_families_at_the_cap(self):
+        assert len(cycle(MAX_STRANDS).edges) == MAX_STRANDS
+        assert len(path(MAX_STRANDS).edges) == MAX_STRANDS - 1
 
     def test_edges_sorted(self):
         assert cycle(5).edges_sorted() == ((1, 2), (1, 5), (2, 3), (3, 4), (4, 5))

@@ -4,7 +4,9 @@ import random
 
 import pytest
 
-from chromabraid.errors import IndexRangeError, ParseError, StrandMismatchError
+from chromabraid import _kernel
+from chromabraid._kernel import MAX_STRANDS
+from chromabraid.errors import IndexRangeError, ParseError, ResourceLimitError, StrandMismatchError
 from chromabraid.words import (
     BraidWord,
     Permutation,
@@ -76,6 +78,47 @@ class TestParsing:
         # the message names the first bad letter
         with pytest.raises(IndexRangeError, match="^letter -3 out of range for 3 strands$"):
             BraidWord(3, (1, -3, 0, 5))
+
+
+class TestStrandCap:
+    """A strand count above MAX_STRANDS is refused before anything sized by it
+    is built; at the cap every word constructor still works."""
+
+    REFUSAL = f"^{MAX_STRANDS + 1} strands exceed the limit of {MAX_STRANDS}$"
+
+    def test_at_the_cap(self):
+        n = MAX_STRANDS
+        w = parse_word(f"{n - 1} -1", n)
+        assert w == BraidWord(n, (n - 1, -1))
+        assert len(a_word(1, n, n)) == len(s_word(1, n, n)) - n + 1 == n - 1
+        assert perm_of(psi_a_word(n)).apply(n) == 1
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda n: BraidWord(n, (1,)),
+            lambda n: BraidWord(n),
+            lambda n: parse_word("1", n),
+            lambda n: parse_word("x 0", n),  # the cap comes before the letters
+            lambda n: a_word(1, n, n),
+            lambda n: s_word(1, n, n),
+            lambda n: psi_b_word(n),
+            lambda n: _kernel.left_normal_form(n, (1,)),
+            lambda n: _kernel.crossing_counts(n, ()),
+        ],
+        ids=[
+            "BraidWord", "BraidWord-empty", "parse_word", "parse_word-bad-token",
+            "a_word", "s_word", "psi_b_word", "left_normal_form", "crossing_counts",
+        ],
+    )
+    def test_refused_above_the_cap(self, build):
+        with pytest.raises(ResourceLimitError, match=self.REFUSAL):
+            build(MAX_STRANDS + 1)
+
+    def test_alphabet_cache_is_bounded(self):
+        # a finite cache of letter sets of at most 2 MAX_STRANDS - 2 letters
+        maxsize = _kernel._alphabet.cache_info().maxsize
+        assert maxsize is not None and maxsize > 0
 
 
 class TestPermutation:
