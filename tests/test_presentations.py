@@ -1,5 +1,6 @@
 """Presentation synthesizers, canonicalization, and the extension assembler."""
 
+import hashlib
 from itertools import combinations
 
 import pytest
@@ -26,6 +27,7 @@ from chromabraid.presentations import (
     relator_inverse,
     substitute,
 )
+from chromabraid.verify import standard_graph_suite
 from chromabraid.words import BraidWord, a_word, parse_word, s_word
 
 
@@ -410,3 +412,46 @@ class TestFormatting:
     def test_unknown_dialect(self):
         with pytest.raises(ValueError):
             format_presentation(artin_presentation(3), "latex")
+
+
+def small_graphs(max_n):
+    """Every labelled graph on 1..max_n vertices, in a fixed order."""
+    for n in range(1, max_n + 1):
+        pairs = list(combinations(range(1, n + 1), 2))
+        for mask in range(1 << len(pairs)):
+            yield from_edge_list(n, [e for k, e in enumerate(pairs) if mask >> k & 1])
+
+
+class TestPresentDigest:
+    """`present` output pinned byte for byte: one sha256 over both dialects of
+    every pure presentation of a graph on at most 5 vertices and of the
+    verify-paper graph suite, and of the four numbered families for n <= 8."""
+
+    DIGEST = "f516bb725e0acf303476c45a1657ca307f6c90ffa1de5bf922a01019a62b39b2"
+
+    def presentations(self):
+        yield from (pure_chromatic_presentation(G) for G in small_graphs(5))
+        yield from (pure_chromatic_presentation(G) for _, G in standard_graph_suite(12))
+        for build, low in (
+            (artin_presentation, 2),
+            (markoff_presentation, 2),
+            (dihedral_presentation, 3),
+            (cyclic_braid_presentation, 4),
+        ):
+            yield from (build(n) for n in range(low, 9))
+
+    def test_digest(self):
+        digest = hashlib.sha256()
+        for p in self.presentations():
+            for dialect in ("plain", "algebra-system"):
+                digest.update(format_presentation(p, dialect).encode())
+        assert digest.hexdigest() == self.DIGEST
+
+    def test_pure_relators_are_reduced_edge_words_without_repeats(self):
+        for G in small_graphs(5):
+            edge_names = {edge_generator_name(i, j) for i, j in G.edges}
+            relators = pure_chromatic_presentation(G).relators
+            for rel in relators:
+                assert rel and free_reduce_relator(rel) == rel
+                assert {name for name, _ in rel} <= edge_names
+            assert len(set(map(cyclic_canonical, relators))) == len(relators)
