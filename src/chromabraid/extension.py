@@ -41,9 +41,9 @@ from .chromatic import (
 )
 from .errors import IndexRangeError, NotAutomorphismError, StrandMismatchError
 from .graphs import DihedralElement, cycle
-from .presentations import cyclic_relations, edge_generator_name, substitute
-from .report import CheckLine, Report
-from .words import BraidWord, Permutation, psi_a_word, psi_b_word, s_word
+from .presentations import band_table, cyclic_relations, psi_name
+from .report import Report
+from .words import BraidWord, Permutation, psi_a_word, psi_b_word
 
 
 @lru_cache(maxsize=None)
@@ -145,12 +145,6 @@ def verify_final_proposition(n: int) -> Report:
     """
     if not 4 <= n <= 12:
         raise IndexRangeError(f"verify_final_proposition needs 4 <= n <= 12, got {n}")
-    G = cycle(n)
-    table = {edge_generator_name(i, j): s_word(i, j, n) for i, j in G.edges_sorted()}
-    table["psi_a"] = psi_a_word(n)
-    table["psi_b"] = psi_b_word(n)
-    lines = []
-    for check_id, *sides in cyclic_relations(n):
-        lhs, rhs = (substitute(side, table, n) for side in sides)
-        lines.append(CheckLine.comparing(check_id, to_element(lhs, n), to_element(rhs, n)))
-    return Report(tuple(lines))
+    table = band_table(cycle(n).edges, n)
+    table[psi_name("a")], table[psi_name("b")] = psi_a_word(n), psi_b_word(n)
+    return Report.substituting(cyclic_relations(n), table, n, lambda w: to_element(w, n))

@@ -164,6 +164,7 @@ def dihedral_generators(n: int) -> tuple[Permutation, Permutation]:
     """
     if n < 3:
         raise IndexRangeError(f"dihedral generators need n >= 3, got {n}")
+    check_strands(n)
     a = Permutation(tuple(i % n + 1 for i in range(1, n + 1)))
     b = Permutation((1,) + tuple(n + 2 - k for k in range(2, n + 1)))
     return a, b

@@ -7,9 +7,9 @@ synthesizers matter for cross-checking: markoff_presentation builds the
 band-generator presentation of the pure braid group from the three classical
 relation families, while pure_chromatic_presentation builds the presentation
 of the graph-conditioned pure group by instantiating five schemas over the
-conditioning graph.  On a complete graph the two must produce the same
-relator multiset; that identity is enforced by the test suite, so the two
-code paths are deliberately independent.
+conditioning graph, each instance emitted once.  On a complete graph the two
+must produce the same relator multiset; that identity is enforced by the
+test suite, so the two code paths are deliberately independent.
 """
 
 from __future__ import annotations
@@ -17,9 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
+from ._kernel import check_strands
 from .errors import IndexRangeError, MissingEntryError
 from .graphs import SimpleGraph, cycle, dihedral_generators, is_3_circuit
-from .words import BraidWord, concat, inverse, psi_r, psi_s
+from .words import BraidWord, psi_r, psi_s, s_word
 
 Token = tuple[str, int]
 Relator = tuple[Token, ...]
@@ -90,10 +91,16 @@ def edge_generator_name(i: int, j: int) -> str:
     return f"s{min(i, j)}_{max(i, j)}"
 
 
+def band_table(edges, n: int) -> dict[str, BraidWord]:
+    """Each band generator s_{i,j}, (i, j) in edges, realized as s_word(i, j, n)."""
+    return {edge_generator_name(i, j): s_word(i, j, n) for i, j in edges}
+
+
 def artin_presentation(n: int) -> Presentation:
     """<sigma_1..sigma_{n-1} | far commutation, braid relations>."""
     if n < 2:
         raise IndexRangeError(f"artin_presentation needs n >= 2, got {n}")
+    check_strands(n)
     gens = tuple(artin_generator_name(i) for i in range(1, n))
     relators: list[Relator] = []
     for i, j in combinations(range(1, n), 2):
@@ -126,6 +133,7 @@ def markoff_presentation(n: int) -> Presentation:
     """
     if n < 2:
         raise IndexRangeError(f"markoff_presentation needs n >= 2, got {n}")
+    check_strands(n)
     gens = tuple(
         edge_generator_name(i, j) for i, j in combinations(range(1, n + 1), 2)
     )
@@ -157,17 +165,15 @@ def pure_chromatic_presentation(G: SimpleGraph) -> Presentation:
     vertex order, writing E for the edge set of G:
       (1)   {i,j}, {k,l} in E, i<j<k<l or i<k<l<j:   [s_{ij}, s_{kl}],
       (2.1) {i,j,k} a 3-circuit, i<j<k:              the triple equality (2),
-      (2.2) {i,j}, {j,k} in E, {i,k} not in E,
-            any order:                               [s_{ij}, s_{jk}],
+      (2.2) {i,j}, {j,k} in E, {i,k} not in E, i<k:  [s_{ij}, s_{jk}],
       (3.1) {i,k}, {j,l} in E, i<j<k<l, {j,k,l} a
             3-circuit:                               the conjugation relation (3),
       (3.2) {i,k}, {j,l} in E, i<j<k<l, {j,k,l} not
             a 3-circuit:                             [s_{ik}, s_{jl}].
-    Tokens over non-edges denote the identity and are dropped before free
-    reduction; empty relators and exact duplicates (after cyclic
-    canonicalization) are discarded.  Commutator-shaped relators are
-    emitted lexicographically smaller generator first so the unordered
-    instances of (2.2) deduplicate.
+    Each schema tests every edge it names, so each instance is emitted
+    once, non-empty and freely reduced, and no two relators agree up to
+    cyclic canonicalization.  Commutator-shaped relators are emitted
+    lexicographically smaller generator first.
     """
     n = G.vertices
     edge = G.has_edge
@@ -193,8 +199,8 @@ def pure_chromatic_presentation(G: SimpleGraph) -> Presentation:
             )
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            for k in range(1, n + 1):
-                if len({i, j, k}) == 3 and edge(i, j) and edge(j, k) and not edge(i, k):
+            for k in range(i + 1, n + 1):
+                if edge(i, j) and edge(j, k) and not edge(i, k):
                     relators.append(comm_sorted((i, j), (j, k)))
     for i, j, k, l in combinations(range(1, n + 1), 4):
         if edge(i, k) and edge(j, l):
@@ -206,25 +212,14 @@ def pure_chromatic_presentation(G: SimpleGraph) -> Presentation:
                 relators.append(comm_sorted((i, k), (j, l)))
 
     gens = tuple(edge_generator_name(i, j) for i, j in G.edges_sorted())
-    names = set(gens)
-    cleaned: list[Relator] = []
-    seen: set[Relator] = set()
-    for rel in relators:
-        rel = free_reduce_relator(tuple(t for t in rel if t[0] in names))
-        if not rel:
-            continue
-        key = cyclic_canonical(rel)
-        if key in seen:
-            continue
-        seen.add(key)
-        cleaned.append(rel)
-    return Presentation(gens, tuple(cleaned))
+    return Presentation(gens, tuple(relators))
 
 
 def dihedral_presentation(n: int) -> Presentation:
     """<a, b | a^n = b^2 = e, b a b = a^-1>, the third relation as (ba)^2."""
     if n < 3:
         raise IndexRangeError(f"dihedral_presentation needs n >= 3, got {n}")
+    check_strands(n)
     relators = (
         (("a", 1),) * n,
         (("b", 1), ("b", 1)),
@@ -283,22 +278,24 @@ def cyclic_relations(n: int) -> list[tuple[str, Relator, Relator]]:
             (psi_b psi_a)^2     = s_{1,2} s_{m,m+1}     (n even, m = (n+2)/2)
                                   s_{1,2} s_{r,r+1} s_{r+1,r+2}   (n odd)
 
+    The R3 left sides are the relators of dihedral_presentation(n), lifted.
     The check ids name the lines of verify_final_proposition.
     """
     if n < 4:
         raise IndexRangeError(f"cyclic_relations needs n >= 4, got {n}")
     edges = cycle(n).edges_sorted()
     relations: list[tuple[str, Relator, Relator]] = []
-    for (i, j), (k, l) in combinations(edges, 2):
-        u, v = _band(i, j), _band(k, l)
-        relations.append((f"R1-s{i}_{j}-s{k}_{l}", (u, v), (v, u)))
-    a, b = dihedral_generators(n)
-    for gen_name, g in (("psi_a", a), ("psi_b", b)):
+    for e, f in combinations(edges, 2):
+        u, v = _band(*e), _band(*f)
+        relations.append((f"R1-{u[0]}-{v[0]}", (u, v), (v, u)))
+    dihedral = dihedral_presentation(n)
+    psi_a, psi_b = map(psi_name, dihedral.generators)
+    for lift, g in zip((psi_a, psi_b), dihedral_generators(n)):
         for i, j in edges:
-            lhs = ((gen_name, -1), _band(i, j), (gen_name, 1))
-            relations.append((f"R2-{gen_name}-s{i}_{j}", lhs, (_band(g.apply(i), g.apply(j)),)))
+            lhs = ((lift, -1), _band(i, j), (lift, 1))
+            rhs = (_band(g.apply(i), g.apply(j)),)
+            relations.append((f"R2-{lift}-{edge_generator_name(i, j)}", lhs, rhs))
     rot_rhs = (_band(1, n),) + tuple(_band(k, k + 1) for k in range(n - 1, 0, -1))
-    relations.append((f"R3-psi_a^{n}", (("psi_a", 1),) * n, rot_rhs))
     r, s = psi_r(n), psi_s(n)
     if n % 2 == 0:
         refl_rhs: Relator = ()
@@ -306,8 +303,9 @@ def cyclic_relations(n: int) -> list[tuple[str, Relator, Relator]]:
     else:
         refl_rhs = (_band(r, s),)
         mixed_rhs = (_band(1, 2), _band(r, s), _band(s, s + 1))
-    relations.append(("R3-psi_b^2", (("psi_b", 1),) * 2, refl_rhs))
-    relations.append(("R3-(psi_b.psi_a)^2", (("psi_b", 1), ("psi_a", 1)) * 2, mixed_rhs))
+    ids = (f"R3-{psi_a}^{n}", f"R3-{psi_b}^2", f"R3-({psi_b}.{psi_a})^2")
+    for check_id, q, rhs in zip(ids, dihedral.relators, (rot_rhs, refl_rhs, mixed_rhs)):
+        relations.append((check_id, tuple((psi_name(t), e) for t, e in q), rhs))
     return relations
 
 
@@ -323,17 +321,18 @@ def cyclic_braid_presentation(n: int) -> Presentation:
     if n < 4:
         raise IndexRangeError(f"cyclic_braid_presentation needs n >= 4, got {n}")
     gens = tuple(edge_generator_name(i, j) for i, j in cycle(n).edges_sorted())
+    gens += tuple(map(psi_name, dihedral_presentation(n).generators))
     relators = tuple(equation_relator(lhs, rhs) for _, lhs, rhs in cyclic_relations(n))
-    return Presentation(gens + ("psi_a", "psi_b"), relators)
+    return Presentation(gens, relators)
 
 
 def substitute(rel, table: dict[str, BraidWord], n: int) -> BraidWord:
     """Evaluate a relator as a braid word through a generator-to-word table."""
-    w = BraidWord(n)
+    letters: list[int] = []
     for name, exp in rel:
-        piece = table[name]
-        w = concat(w, piece if exp > 0 else inverse(piece))
-    return w
+        piece = table[name].letters
+        letters.extend(piece if exp > 0 else [-k for k in reversed(piece)])
+    return BraidWord(n, tuple(letters))
 
 
 def format_presentation(p: Presentation, dialect: str = "plain") -> str:

@@ -8,6 +8,9 @@ Every check renders as exactly four whitespace-free fields:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+
+from .presentations import substitute
 
 
 @dataclass(frozen=True)
@@ -35,6 +38,18 @@ class CheckLine:
 @dataclass(frozen=True)
 class Report:
     lines: tuple[CheckLine, ...]
+
+    @classmethod
+    def substituting(cls, relations, table, n: int, form) -> Report:
+        """One check per (check id, lhs, rhs) relation: both sides substituted
+        through the generator table as words on n strands, then compared by
+        their form; a side that recurs, such as the empty right side of
+        every relator check, is formed once."""
+        @cache
+        def side(rel):
+            return form(substitute(rel, table, n))
+        return cls(tuple(
+            CheckLine.comparing(cid, side(lhs), side(rhs)) for cid, lhs, rhs in relations))
 
     @property
     def all_passed(self) -> bool:

@@ -7,20 +7,23 @@ tests, so their check IDs are stable identifiers.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import combinations
 
 from .chromatic import normal_form_in_BGamma
 from .errors import IndexRangeError
+from .extension import verify_final_proposition
 from .garside import normal_form
 from .graphs import SimpleGraph, complete, cycle, path
 from .presentations import (
+    artin_generator_name,
     artin_presentation,
+    band_table,
     markoff_presentation,
     pure_chromatic_presentation,
-    substitute,
 )
 from .report import CheckLine, Report
-from .words import BraidWord, a_word, concat, e_word, psi_r, s_word
+from .words import BraidWord, a_word, concat, e_word, psi_r
 
 
 def _bn_check(check_id: str, lhs: BraidWord, rhs: BraidWord) -> CheckLine:
@@ -64,38 +67,30 @@ def lemma_report(ns) -> Report:
     return Report(tuple(lines))
 
 
-def _artin_table(n: int) -> dict[str, BraidWord]:
-    return {f"s{i}": BraidWord(n, (i,)) for i in range(1, n)}
-
-
-def _band_table(n: int) -> dict[str, BraidWord]:
-    return {
-        f"s{i}_{j}": s_word(i, j, n)
-        for i, j in combinations(range(1, n + 1), 2)
-    }
+def _relator_checks(prefix: str, pres, table, n: int, form) -> Report:
+    """Each relator of pres, substituted through table, has the form of the
+    trivial word; the checks are numbered from 1 after prefix."""
+    checks = ((f"{prefix}-rel{idx}", rel, ()) for idx, rel in enumerate(pres.relators, start=1))
+    return Report.substituting(checks, table, n, form)
 
 
 def artin_soundness_report(ns) -> Report:
     """Every relator of artin_presentation(n) evaluates to the trivial braid."""
-    lines = []
+    report = Report(())
     for n in ns:
-        table = _artin_table(n)
-        for idx, rel in enumerate(artin_presentation(n).relators, start=1):
-            word = substitute(rel, table, n)
-            lines.append(_bn_check(f"artin-n{n}-rel{idx}", word, BraidWord(n)))
-    return Report(tuple(lines))
+        table = {artin_generator_name(i): BraidWord(n, (i,)) for i in range(1, n)}
+        report += _relator_checks(f"artin-n{n}", artin_presentation(n), table, n, normal_form)
+    return report
 
 
 def markoff_soundness_report(ns) -> Report:
     """Every relator of markoff_presentation(n), with s_{i,j} realized as
     s_word(i,j,n), evaluates to the trivial braid."""
-    lines = []
+    report = Report(())
     for n in ns:
-        table = _band_table(n)
-        for idx, rel in enumerate(markoff_presentation(n).relators, start=1):
-            word = substitute(rel, table, n)
-            lines.append(_bn_check(f"markoff-n{n}-rel{idx}", word, BraidWord(n)))
-    return Report(tuple(lines))
+        table = band_table(combinations(range(1, n + 1), 2), n)
+        report += _relator_checks(f"markoff-n{n}", markoff_presentation(n), table, n, normal_form)
+    return report
 
 
 def chromatic_soundness_report(named_graphs) -> Report:
@@ -106,17 +101,12 @@ def chromatic_soundness_report(named_graphs) -> Report:
     left-weighted forms on complete ones); a graph outside that fragment
     raises OutOfScopeError.
     """
-    lines = []
+    report = Report(())
     for name, G in named_graphs:
-        n = G.vertices
-        table = _band_table(n)
-        pres = pure_chromatic_presentation(G)
-        trivial = BraidWord(n)
-        for idx, rel in enumerate(pres.relators, start=1):
-            word = substitute(rel, table, n)
-            lhs, rhs = normal_form_in_BGamma(word, G), normal_form_in_BGamma(trivial, G)
-            lines.append(CheckLine.comparing(f"chromatic-{name}-rel{idx}", lhs, rhs))
-    return Report(tuple(lines))
+        n, pres = G.vertices, pure_chromatic_presentation(G)
+        form = partial(normal_form_in_BGamma, G=G)
+        report += _relator_checks(f"chromatic-{name}", pres, band_table(G.edges, n), n, form)
+    return report
 
 
 def standard_graph_suite(max_n: int) -> list[tuple[str, SimpleGraph]]:
@@ -137,8 +127,6 @@ def standard_graph_suite(max_n: int) -> list[tuple[str, SimpleGraph]]:
 
 def full_paper_report(max_n: int = 9) -> Report:
     """Aggregate suite run by the verify-paper command."""
-    from .extension import verify_final_proposition
-
     if max_n < 4:
         raise IndexRangeError(f"verify-paper needs max_n >= 4, got {max_n}")
     report = lemma_report(range(4, max_n + 1))

@@ -273,6 +273,9 @@ class TestStrandCap:
             ("invariants", "", "--graph", "path:" + OVER),
             ("aut", "complete:" + OVER),
             ("present", "pure", "cycle:" + OVER),
+            ("present", "artin", OVER),
+            ("present", "markoff", OVER),
+            ("present", "dihedral", OVER),
         ],
     )
     def test_exit_2_with_one_error_line(self, capsys, argv):

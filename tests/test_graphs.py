@@ -12,6 +12,7 @@ from chromabraid.graphs import (
     _GRAPH_CACHE_SIZE,
     DihedralElement,
     _automorphisms,
+    _dihedral_perms,
     SimpleGraph,
     automorphisms,
     complete,
@@ -223,6 +224,23 @@ class TestDihedral:
         for n in range(3, 9):
             perms = {x.to_perm().image for x in DihedralElement.all_elements(n)}
             assert perms == {g.image for g in automorphisms(cycle(n))}
+
+    def test_strand_cap(self):
+        # refused before the 2n permutations of n points are tabulated
+        with pytest.raises(ResourceLimitError, match=f"^{MAX_STRANDS + 1} strands exceed"):
+            dihedral_generators(MAX_STRANDS + 1)
+        with pytest.raises(ResourceLimitError):
+            DihedralElement(MAX_STRANDS + 1, 0, False).to_perm()
+        with pytest.raises(ResourceLimitError):
+            DihedralElement.from_perm(MAX_STRANDS + 1, Permutation.identity(MAX_STRANDS + 1))
+
+    def test_to_perm_at_the_cap(self):
+        n = MAX_STRANDS
+        try:
+            g = DihedralElement(n, 1, True).to_perm()
+            assert g.image == tuple(range(n, 0, -1))  # a b reverses 1..n
+        finally:
+            _dihedral_perms.cache_clear()  # 2n permutations of n points
 
     def test_validation(self):
         with pytest.raises(IndexRangeError):

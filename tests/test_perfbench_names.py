@@ -2,11 +2,13 @@
 
 perfbench/spans.py wraps functions by module and attribute name, and the
 long_words workload reads _kernel._impl and the KERNEL name; a rename in
-src/ would otherwise surface only when the benchmark runs.  This test only
-reads perfbench/.
+src/ would otherwise surface only when the benchmark runs.  For the same
+reason the in-process workloads run one round each.  These tests only
+read perfbench/.
 """
 
 import importlib
+import random
 import sys
 from pathlib import Path
 
@@ -42,3 +44,20 @@ def test_tracer_resolves_every_target(monkeypatch):
 def test_kernel_names():
     assert callable(_kernel._impl.left_normal_form)
     assert chromabraid.KERNEL == _kernel.KERNEL == "pure"
+
+
+def test_in_process_workloads_run_one_round(monkeypatch):
+    # the benchmark's warm-up and one round of each in-process workload, so
+    # a break in how they use the package fails here, not only in the benchmark
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    for name in ("setup_probe", "workloads"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    importlib.import_module("setup_probe").warm_up()
+    workloads = importlib.import_module("workloads")
+    for name in ("oracle_xval", "long_words", "cyclic_group"):
+        workload = workloads.WORKLOADS[name](PERFBENCH.parent)
+        assert workload.in_process, name
+        items = workload.make_round(random.Random(f"{name}:1:0"), 0)
+        assert items, name
+        for item in items:
+            assert workload.run(item).ok, (name, item)
