@@ -292,9 +292,8 @@ def cyclic_relations(n: int) -> list[tuple[str, Relator, Relator]]:
     psi_a, psi_b = map(psi_name, dihedral.generators)
     for lift, g in zip((psi_a, psi_b), dihedral_generators(n)):
         for i, j in edges:
-            lhs = ((lift, -1), _band(i, j), (lift, 1))
-            rhs = (_band(g.apply(i), g.apply(j)),)
-            relations.append((f"R2-{lift}-{edge_generator_name(i, j)}", lhs, rhs))
+            u, v = _band(i, j), _band(g.apply(i), g.apply(j))
+            relations.append((f"R2-{lift}-{u[0]}", ((lift, -1), u, (lift, 1)), (v,)))
     rot_rhs = (_band(1, n),) + tuple(_band(k, k + 1) for k in range(n - 1, 0, -1))
     r, s = psi_r(n), psi_s(n)
     if n % 2 == 0:
