@@ -13,22 +13,29 @@ left_normal_form is one right-multiplication pass (Epstein et al., Word
 Processing in Groups, ch. 9) in a lazily twisted frame.  The stored factors
 are the true ones conjugated by tau^flip, where tau is conjugation by the
 half twist Delta and flip is one bit for the whole list; tau is applied
-once, at the end.  Per letter:
+once, at the end.  Letters enter by runs:
 
-- sigma_i^-1 whose sigma_i is a suffix of the last factor cancels there: a
-  prefix of a left-weighted factor keeps the list left weighted.
-- Any other sigma_i^-1 = Delta^-1 . (Delta sigma_i^-1): the Delta^-1 goes to
-  the front, conjugating every stored factor, which is a toggle of flip,
-  and the factor Delta sigma_i^-1 is appended.
-- sigma_i that is a suffix of the last factor is appended as an atom, since
-  (last, sigma_i) is left weighted; any other sigma_i is absorbed into last.
-- The factor that grew, an appended Delta sigma_i^-1 or a last factor that
-  absorbed sigma_i, is left weighted backwards (the meet step of El-Rifai
-  and Morton, "Algorithms for positive braids", 1994); left weighting
-  commutes with tau, so it runs in the stored frame.
-  A factor that grows to Delta, by absorption or by a pair op, moves to
-  the front at once, conjugating the factors before it by tau, and the
-  list is left weighted from there on.  So Delta is never stored.
+- A letter that keeps the last factor simple changes it in place: sigma_i
+  is absorbed when it is not a suffix of last, and sigma_i^-1 cancels when
+  it is.
+- A sigma_i^-1 that cannot cancel starts a negative run N^-1.  While the
+  positive braid N stays simple, N^-1 = Delta^-1 . (Delta N^-1) (ch. 9):
+  the Delta^-1 goes to the front at once, conjugating every stored factor,
+  which is a toggle of flip, and Delta sigma_i^-1 is appended.  The run's
+  later letters cancel in it by the test above, since sigma_j N is simple
+  iff sigma_j is a suffix of Delta N^-1, so the run costs one factor.
+- A sigma_i that is a suffix of the last factor is appended as an atom,
+  since (last, sigma_i) is left weighted.
+- The last factor is left weighted backwards once per run, not once per
+  letter (the meet step of El-Rifai and Morton, "Algorithms for positive
+  braids", 1994): before anything is appended after it, after which the
+  letter is tested again, and at the end.  A positive letter that grew it
+  or an appended complement marks it for this; a cancellation in a left
+  weighted factor does not, since a prefix of a left-weighted factor keeps
+  the list left weighted.  Left weighting commutes with tau, so it runs in
+  the stored frame.  A factor that grows to Delta moves to the front,
+  conjugating the factors before it by tau, and the list is left weighted
+  from there on.  So Delta is never stored once the list is left weighted.
 """
 
 from __future__ import annotations
@@ -75,6 +82,32 @@ def _left_weight_pair(u, v, pos, n):
     return changed
 
 
+def _settle(factors, pos, n, ident, delta):
+    """Left weight backwards from the last factor, which grew on the right.
+
+    The factors before it are left weighted, and stay so once a pair is
+    unchanged.  A factor that grows to Delta moves to the front past the
+    factors before it, and the list is left weighted from there on.  Only
+    the last factor can become the identity, and is then dropped.  Returns
+    the number of Deltas moved, 0 or 1.
+    """
+    moved = 0
+    t = len(factors) - 1
+    while True:
+        if factors[t] == delta:
+            for s in range(t):
+                factors[s] = _tau(factors[s], n)
+            del factors[t]
+            moved = 1
+            break
+        t -= 1
+        if t < 0 or not _left_weight_pair(factors[t], factors[t + 1], pos, n):
+            break
+    if factors and factors[-1] == ident:
+        factors.pop()
+    return moved
+
+
 def left_normal_form(n, letters):
     """Return (inf, factors): letters == Delta^inf . factors, left weighted.
 
@@ -93,63 +126,59 @@ def left_normal_form(n, letters):
     pos = [0] * n
     ident = list(range(n))
     delta = ident[::-1]
+    # the last factor grew in place since it was last left weighted
+    dirty = False
     for k in letters:
         # the letter's generator index in the stored frame: tau maps
         # sigma_{i+1} to sigma_{n-1-i}
         i = abs(k) - 1
         if flip:
             i = n - 2 - i
-        simple = False
-        if factors:
-            last = factors[-1]
-            a = last.index(i)
-            b = last.index(i + 1)
-            # sigma_{i+1} is a suffix of last iff b < a; last . sigma_{i+1}^-1
-            # is simple iff it is, last . sigma_{i+1} iff it is not
-            simple = (a < b) == (k > 0)
-        if simple:
-            # last <- last . sigma^{+-1}: swap the values i, i+1 inside last
-            last[a] = i + 1
-            last[b] = i
-            if k < 0:
-                if last == ident:
-                    factors.pop()
-                continue
-        elif k > 0:
-            # no factor yet, or (last, sigma_{i+1}) is left weighted already
-            f = ident[:]
-            f[i] = i + 1
-            f[i + 1] = i
-            factors.append(f)
-            continue
-        else:
-            # sigma^-1 = Delta^-1 . (Delta sigma^-1); the Delta^-1 goes to
-            # the front, conjugating every factor: the frame toggles
-            p -= 1
-            flip ^= 1
-            i = n - 2 - i
-            # Delta sigma_{i+1}^-1: x -> t_i(n-1-x)
-            f = delta[:]
-            f[n - 1 - i] = i + 1
-            f[n - 2 - i] = i
-            factors.append(f)
-        # factors[t] grew on the right; left weight backwards from it (the
-        # factors before it are left weighted, and stay so once a pair is
-        # unchanged).  Only an appended Delta sigma^-1 can become the identity.
-        t = len(factors) - 1
         while True:
-            if factors[t] == delta:
-                # the new Delta goes to the front past the factors before it
-                for s in range(t):
-                    factors[s] = _tau(factors[s], n)
-                del factors[t]
-                p += 1
-                break
-            t -= 1
-            if t < 0 or not _left_weight_pair(factors[t], factors[t + 1], pos, n):
-                break
-        if factors and factors[-1] == ident:
-            factors.pop()
+            if factors:
+                last = factors[-1]
+                a = last.index(i)
+                b = last.index(i + 1)
+                # sigma_{i+1} is a suffix of last iff b < a; last . sigma_{i+1}^-1
+                # is simple iff it is, last . sigma_{i+1} iff it is not
+                if (a < b) == (k > 0):
+                    # last <- last . sigma^{+-1}: swap the values i, i+1 inside last
+                    last[a] = i + 1
+                    last[b] = i
+                    if k > 0:
+                        dirty = True
+                    elif last == ident:
+                        factors.pop()
+                        dirty = False
+                    break
+                if dirty:
+                    # left weight last before appending, then test again:
+                    # last may have moved to the front or lost letters
+                    p += _settle(factors, pos, n, ident, delta)
+                    dirty = False
+                    continue
+            if k > 0:
+                # no factor yet, or (last, sigma_{i+1}) is left weighted already
+                f = ident[:]
+                f[i] = i + 1
+                f[i + 1] = i
+                factors.append(f)
+            else:
+                # sigma^-1 = Delta^-1 . (Delta sigma^-1); the Delta^-1 goes to
+                # the front, conjugating every factor: the frame toggles
+                p -= 1
+                flip ^= 1
+                i = n - 2 - i
+                # Delta sigma_{i+1}^-1: x -> t_i(n-1-x); the negative letters
+                # after it cancel in it while their run stays simple
+                f = delta[:]
+                f[n - 1 - i] = i + 1
+                f[n - 2 - i] = i
+                factors.append(f)
+                dirty = True
+            break
+    if dirty:
+        p += _settle(factors, pos, n, ident, delta)
 
     if flip:
         factors = [_tau(f, n) for f in factors]

@@ -10,8 +10,10 @@ equal_in_Bn does the least work that still gives an exact answer, in order:
 
 1. DISTINCT when the exponent sums or the permutations differ; both are
    homomorphisms (B_n -> Z and B_n -> S_n), read off the raw words in O(L).
-2. Free-reduce both words and drop their longest common prefix and suffix:
-   in any group p.a.s = p.b.s iff a = b.
+2. Reduce both words to their middles (words.reduced_middles): cancel each
+   sigma_k^+-1 against the nearest earlier sigma_k^-+1 across letters that
+   all commute with sigma_k, in linear time, then drop the longest common
+   prefix and suffix, since in any group p.a.s = p.b.s iff a = b.
 3. EQUAL when the two middles are the same letters.
 4. Otherwise compare the normal forms of the two middles.
 
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 from ._kernel import left_normal_form
 from .errors import StrandMismatchError
 from .lkrep import equal_via_representation  # noqa: F401  re-exported
-from .words import BraidWord, Permutation, free_reduce, perm_of
+from .words import BraidWord, Permutation, perm_of, reduced_middles
 
 
 @dataclass(frozen=True)
@@ -75,15 +77,5 @@ def equal_in_Bn(u: BraidWord, v: BraidWord) -> bool:
         )
     if _exponent_sum(u.letters) != _exponent_sum(v.letters) or perm_of(u) != perm_of(v):
         return False
-    a, b = free_reduce(u).letters, free_reduce(v).letters
-    m = min(len(a), len(b))
-    i = 0
-    while i < m and a[i] == b[i]:
-        i += 1
-    j = 0
-    while j < m - i and a[-1 - j] == b[-1 - j]:
-        j += 1
-    a, b = a[i:len(a) - j], b[i:len(b) - j]
-    if a == b:
-        return True
-    return normal_form(BraidWord(u.strands, a)) == normal_form(BraidWord(u.strands, b))
+    a, b = reduced_middles(u, v)
+    return a == b or normal_form(a) == normal_form(b)

@@ -6,7 +6,9 @@ encodes sigma_k and k < 0 encodes sigma_|k|^-1.  The textual form is the
 same sequence as whitespace-separated decimal integers, e.g. "1 2 -1".
 
 Besides the free-monoid plumbing (parse, format, concat, inverse, free
-reduction) the module provides the named word families
+reduction, and reduced_middles, which also cancels inverse pairs across
+far-commuting letters before dropping a common prefix and suffix) the
+module provides the named word families
 
     a_word(i, j)   = sigma_{j-1} ... sigma_{i+1} sigma_i          (empty for i = j)
     s_word(i, j)   = sigma_{j-1} ... sigma_{i+1} sigma_i^2 sigma_{i+1}^-1 ... sigma_{j-1}^-1
@@ -169,6 +171,53 @@ def free_reduce(w: BraidWord) -> BraidWord:
         else:
             stack.append(k)
     return BraidWord(w.strands, tuple(stack))
+
+
+def _cancel_far(n: int, letters: tuple[int, ...]) -> tuple[int, ...]:
+    """Cancel each sigma_k^+-1 against the nearest earlier sigma_k^-+1 when
+    no letter between them has index |k|-1, |k| or |k|+1.
+
+    Every letter between them commutes with sigma_k, so the pair cancels in
+    B_n (reduction in a partially commutative group, Cartier and Foata
+    1969).  One stack of live positions per generator index: a letter cancels
+    the top of its own stack when that top is later than the tops of the two
+    neighbouring stacks, so the pass is linear in the word length.
+    """
+    out = list(letters)
+    # index 0 and n are sentinels for the neighbours of sigma_1 and sigma_{n-1}
+    live = [[-1] for _ in range(n + 1)]
+    for q, k in enumerate(letters):
+        g = abs(k)
+        own = live[g]
+        top = own[-1]
+        if top > live[g - 1][-1] and top > live[g + 1][-1] and out[top] == -k:
+            own.pop()
+            out[top] = out[q] = 0
+        else:
+            own.append(q)
+    return tuple(filter(None, out))
+
+
+def reduced_middles(u: BraidWord, v: BraidWord) -> tuple[BraidWord, BraidWord]:
+    """Middles a, b of u and v such that u = v in B_n iff a = b.
+
+    Each word loses the inverse pairs _cancel_far finds, then the two lose
+    their longest common prefix and suffix: in any group p.a.s = p.b.s iff
+    a = b.
+    """
+    if u.strands != v.strands:
+        raise StrandMismatchError(
+            f"comparing words on {u.strands} and {v.strands} strands"
+        )
+    a, b = _cancel_far(u.strands, u.letters), _cancel_far(v.strands, v.letters)
+    m = min(len(a), len(b))
+    i = 0
+    while i < m and a[i] == b[i]:
+        i += 1
+    j = 0
+    while j < m - i and a[-1 - j] == b[-1 - j]:
+        j += 1
+    return BraidWord(u.strands, a[i:len(a) - j]), BraidWord(v.strands, b[i:len(b) - j])
 
 
 def a_word(i: int, j: int, n: int) -> BraidWord:

@@ -253,6 +253,7 @@ class TestEquality:
         (3, (1, -2), (2, -1), False),    # exponent sums 0, permutations differ
         (4, (1, 2, -2, 3, 1, -1), (1, 3), True),  # the same after free reduction
         (4, (3, 1, 2), (3, 1, -1, 1, 2), True),
+        (4, (1, 3, -1), (3,), True),     # sigma_1^-1 cancels sigma_1 across sigma_3
     ])
     def test_shortcuts_decide_without_normal_forms(self, monkeypatch, n, u, v, equal):
         def refuse(w):
@@ -273,7 +274,9 @@ class TestEquality:
         u = BraidWord(4, prefix + (1, 2, 1) + suffix)
         v = BraidWord(4, prefix + (2, 1, 2) + suffix)
         assert equal_in_Bn(u, v)
-        assert seen == [(1, 2, 1), (2, 1, 2)]
+        # in u the prefix's sigma_1^-1 cancels the middle's first sigma_1
+        # across sigma_3; in v the middle's sigma_2 stands between them
+        assert seen == [(3, 2, 1), (-1, 3, 2, 1, 2)]
 
     def test_infimum_shift(self):
         rng = random.Random(24)

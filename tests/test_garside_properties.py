@@ -2,16 +2,17 @@
 replaced, kept here verbatim as the reference: every letter enters as its own
 factor, every sigma_i^-1 as Delta^-1 . (Delta sigma_i^-1) with a per-letter
 parity precount, and every Delta factor walks to the front one pair op at a
-time.  Also ties the shortcuts of equal_in_Bn (invariants, free reduction,
-common prefix and suffix) to a plain comparison of the two words' normal
-forms."""
+time.  Also ties the shortcuts of equal_in_Bn (invariants, cancellation
+across far-commuting letters, common prefix and suffix) to a plain
+comparison of the two words' normal forms, and the linear cancellation pass
+to a quadratic backward scan."""
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, strategies as st  # noqa: E402
 
-from chromabraid import _garside_py  # noqa: E402
+from chromabraid import _garside_py, words  # noqa: E402
 from chromabraid.garside import equal_in_Bn, normal_form  # noqa: E402
 from chromabraid.words import BraidWord, a_word  # noqa: E402
 
@@ -145,15 +146,23 @@ def half_twist_word(n):
 @example((4, half_twist_word(4)))
 @example((5, half_twist_word(5)))
 @example((5, (-1,) + half_twist_word(5) + (2, -3)))
+# negative runs: sigma_1^-1 sigma_1^-1 is not simple, so the second letter
+# ends the run begun after the factor sigma_1 sigma_2
+@example((4, (1, 2, -1, -1)))
+# runs spelling Delta^-1, whose complement is the identity
+@example((3, (1, 1, -2, -1, -2)))
+@example((4, (1, 3) + tuple(-k for k in reversed(half_twist_word(4)))))
+# sigma_2^-1 cancels in place, then sigma_3^-1 sigma_2^-1 is one run
+@example((4, (1, 2, -2, -3, -2)))
+# sigma_4 is absorbed into sigma_2, and the run sigma_1^-1 sigma_3^-1 ends the word
+@example((5, (2, 4, -1, -3)))
 def test_kernel_matches_reference(case):
     assert_matches_reference(*case)
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 8])
-def test_positive_runs_need_no_pair_op(n, monkeypatch):
-    """A sigma_i that is not a suffix of the last factor is absorbed into it
-    and one that is becomes a new factor, neither by a pair op: a descending
-    run is one simple factor, and so is each prefix of a half-twist word."""
+@pytest.fixture
+def pair_ops(monkeypatch):
+    """The argument tuples of every _left_weight_pair call the kernel makes."""
     calls = []
     pair_op = _garside_py._left_weight_pair
 
@@ -162,13 +171,37 @@ def test_positive_runs_need_no_pair_op(n, monkeypatch):
         return pair_op(*args)
 
     monkeypatch.setattr(_garside_py, "_left_weight_pair", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8])
+def test_positive_runs_need_no_pair_op(n, pair_ops):
+    """A sigma_i that is not a suffix of the last factor is absorbed into it
+    and one that is becomes a new factor, neither by a pair op: a descending
+    run is one simple factor, and so is each prefix of a half-twist word."""
     run = a_word(1, n, n).letters
     words = [run, run + run, half_twist_word(n), half_twist_word(n) * 3]
     for letters in words:
         assert _garside_py.left_normal_form(n, letters) == reference_left_normal_form(n, letters)
     assert _garside_py.left_normal_form(n, run) == (0, [tuple(range(1, n)) + (0,)])
     assert _garside_py.left_normal_form(n, half_twist_word(n) * 3) == (3, [])
-    assert calls == []
+    assert pair_ops == []
+
+
+@pytest.mark.parametrize("n, letters", [
+    # sigma_2 ... sigma_{n-1} absorbed into the second factor sigma_1
+    (4, (1, 1, 2, 3)),
+    (8, (1, 1, 2, 3, 4, 5, 6, 7)),
+    # one negative run, entered as Delta^-1 and one complement factor
+    (4, (1, 2, 3, -1, -2)),
+    (5, (1, 2, 3, 4, -1, -2, -3)),
+])
+def test_runs_need_at_most_one_pair_op(n, letters, pair_ops):
+    """Letters absorbed into the last factor are left weighted once per run,
+    not once per letter, and a negative run whose inverse is simple enters
+    as one factor."""
+    assert _garside_py.left_normal_form(n, letters) == reference_left_normal_form(n, letters)
+    assert len(pair_ops) <= 1
 
 
 @given(kernel_words(sign=1))
@@ -236,3 +269,42 @@ def test_equal_in_Bn_on_twisted_pairs(pair):
 @given(framed_pairs())
 def test_equal_in_Bn_on_framed_pairs(pair):
     assert_decided_by_normal_forms(*pair)
+
+
+def reference_cancel_far(letters):
+    """Each letter scans the kept letters backwards: it cancels the first
+    sigma_k^-+1 it meets and stops at any other letter of index |k|-1, |k|
+    or |k|+1.  Quadratic; the reference for words._cancel_far."""
+    kept = []
+    for k in letters:
+        for back in range(len(kept) - 1, -1, -1):
+            if kept[back] == -k:
+                del kept[back]
+                break
+            if abs(abs(kept[back]) - abs(k)) <= 1:
+                kept.append(k)
+                break
+        else:
+            kept.append(k)
+    return tuple(kept)
+
+
+@given(kernel_words())
+# sigma_1^-1 meets sigma_1 across sigma_3, and sigma_2 blocks it
+@example((4, (1, 3, -1)))
+@example((4, (1, 2, -1)))
+# sigma_2^-1 exposes sigma_1 to sigma_1^-1, and the last sigma_1^-1 cancels
+# across sigma_4
+@example((6, (1, 4, 2, -2, -1, 3, 1, 4, -1)))
+def test_cancel_far_matches_backward_scan(case):
+    n, w = case
+    assert words._cancel_far(n, w) == reference_cancel_far(w)
+
+
+@given(kernel_words(max_len=60))
+def test_cancel_far_keeps_the_braid(case):
+    n, w = case
+    reduced = words._cancel_far(n, w)
+    assert normal_form(BraidWord(n, reduced)) == normal_form(BraidWord(n, w))
+    assert words._cancel_far(n, reduced) == reduced
+    assert words._cancel_far(n, w + tuple(-k for k in reversed(w))) == ()

@@ -61,3 +61,22 @@ def test_in_process_workloads_run_one_round(monkeypatch):
         assert items, name
         for item in items:
             assert workload.run(item).ok, (name, item)
+
+
+def test_long_words_round_matches_normal_forms(monkeypatch):
+    # the benchmark checks its random pairs by permutations only; here every
+    # pair of one round is checked against the whole words' normal forms
+    from chromabraid.garside import equal_in_Bn, normal_form
+    from chromabraid.words import BraidWord
+
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.delitem(sys.modules, "workloads", raising=False)
+    workload = importlib.import_module("workloads").WORKLOADS["long_words"](PERFBENCH.parent)
+    items = workload.make_round(random.Random("long_words:1:0"), 0)
+    assert len(items) == 8
+    for u_letters, v_letters, expect_equal in items:
+        u = BraidWord(workload.strands, u_letters)
+        v = BraidWord(workload.strands, v_letters)
+        equal = equal_in_Bn(u, v)
+        assert equal == (normal_form(u) == normal_form(v))
+        assert expect_equal is None or equal

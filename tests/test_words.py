@@ -25,6 +25,7 @@ from chromabraid.words import (
     psi_b_word,
     psi_r,
     psi_s,
+    reduced_middles,
     s_word,
 )
 
@@ -236,6 +237,29 @@ class TestFreeReduce:
                 w.letters[i] != -w.letters[i + 1] for i in range(len(w.letters) - 1)
             )
             assert free_reduce(w) == w
+
+
+class TestReducedMiddles:
+    def test_cancels_across_far_letters_only(self):
+        far, near = BraidWord(4, (1, 3, -1)), BraidWord(4, (1, 2, -1))
+        assert reduced_middles(far, BraidWord(4)) == (BraidWord(4, (3,)), BraidWord(4))
+        assert reduced_middles(near, BraidWord(4)) == (near, BraidWord(4))
+
+    def test_drops_common_prefix_and_suffix(self):
+        u, v = BraidWord(5, (4, 1, 2, 1, 4)), BraidWord(5, (4, 2, 1, 2, 4))
+        assert reduced_middles(u, v) == (BraidWord(5, (1, 2, 1)), BraidWord(5, (2, 1, 2)))
+
+    def test_strand_mismatch(self):
+        with pytest.raises(StrandMismatchError):
+            reduced_middles(BraidWord(3), BraidWord(4))
+
+    def test_linear_on_a_long_word(self):
+        # (sigma_1 sigma_3 ... sigma_999)^20 times its inverse on 1,000
+        # strands: 20,000 letters, each cancelling across 499 far letters,
+        # which a backward scan would take quadratic time over
+        w = BraidWord(1000, tuple(range(1, 1000, 2)) * 20)
+        assert reduced_middles(concat(w, inverse(w)), BraidWord(1000)) == (
+            BraidWord(1000), BraidWord(1000))
 
 
 class TestConcatPower:
