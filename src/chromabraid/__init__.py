@@ -92,7 +92,6 @@ from .words import (
     crossing_matrix,
     e_word,
     format_word,
-    free_reduce,
     inverse,
     is_pure,
     parse_word,

@@ -2,14 +2,12 @@
 presentation, its graph-conditioned quotient, and split-extension assembly.
 
 A relator is a tuple of (generator name, +-1) tokens, always kept freely
-reduced; a presentation is a generator tuple plus a relator tuple.  Two
-synthesizers matter for cross-checking: markoff_presentation builds the
-band-generator presentation of the pure braid group from the three classical
-relation families, while pure_chromatic_presentation builds the presentation
-of the graph-conditioned pure group by instantiating five schemas over the
-conditioning graph, each instance emitted once.  On a complete graph the two
-must produce the same relator multiset; that identity is enforced by the
-test suite, so the two code paths are deliberately independent.
+reduced; a presentation is a generator tuple plus a relator tuple.  One
+synthesizer builds every pure presentation: pure_chromatic_presentation
+instantiates five schemas over the conditioning graph, each instance emitted
+once, and markoff_presentation(n) is its complete-graph case, where the five
+schemas reduce to Markoff's three relation families.  The test suite keeps an
+independent enumeration of those families as the reference for K_n.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from itertools import combinations
 
 from ._kernel import check_strands
 from .errors import IndexRangeError, MissingEntryError
-from .graphs import SimpleGraph, cycle, dihedral_generators, is_3_circuit
+from .graphs import SimpleGraph, complete, cycle, dihedral_generators
 from .words import BraidWord, psi_r, psi_s, s_word
 
 Token = tuple[str, int]
@@ -112,20 +110,17 @@ def artin_presentation(n: int) -> Presentation:
     return Presentation(gens, tuple(relators))
 
 
-def _triple_equality(w1, w2, w3) -> list[Relator]:
-    # consecutive pairing of a three-way equality
-    return [equation_relator(w1, w2), equation_relator(w2, w3)]
-
-
 def _band(i: int, j: int) -> Token:
     return (edge_generator_name(i, j), 1)
 
 
 def markoff_presentation(n: int) -> Presentation:
-    """Band-generator presentation of the pure braid group on n strands.
+    """Markoff's band-generator presentation of the pure braid group on n strands.
 
-    Generators s_{i,j} for 1 <= i < j <= n; relators in three families:
-      (1) s_{i,j} s_{k,l} = s_{k,l} s_{i,j} for i<j<k<l and for i<k<l<j,
+    It is pure_chromatic_presentation(complete(n)): on K_n every pair is an
+    edge and every triple a 3-circuit, so schemas (2.2) and (3.2) are empty
+    and (1), (2.1), (3.1) are Markoff's three families, for 1 <= i < j <= n:
+      (1) [s_{i,j}, s_{k,l}] for i<j<k<l and for i<k<l<j,
       (2) s_{i,j} s_{i,k} s_{j,k} = s_{i,k} s_{j,k} s_{i,j}
                                   = s_{j,k} s_{i,j} s_{i,k} for i<j<k,
       (3) s_{i,k} s_{j,k} s_{j,l} s_{j,k}^-1
@@ -134,28 +129,7 @@ def markoff_presentation(n: int) -> Presentation:
     if n < 2:
         raise IndexRangeError(f"markoff_presentation needs n >= 2, got {n}")
     check_strands(n)
-    gens = tuple(
-        edge_generator_name(i, j) for i, j in combinations(range(1, n + 1), 2)
-    )
-    relators: list[Relator] = []
-    for a, b, c, d in combinations(range(1, n + 1), 4):
-        # separated pattern (i, j, k, l) = (a, b, c, d)
-        relators.append(commutator(edge_generator_name(a, b), edge_generator_name(c, d)))
-        # nested pattern (i, k, l, j) = (a, b, c, d)
-        relators.append(commutator(edge_generator_name(a, d), edge_generator_name(b, c)))
-    for i, j, k in combinations(range(1, n + 1), 3):
-        relators.extend(
-            _triple_equality(
-                (_band(i, j), _band(i, k), _band(j, k)),
-                (_band(i, k), _band(j, k), _band(i, j)),
-                (_band(j, k), _band(i, j), _band(i, k)),
-            )
-        )
-    for i, j, k, l in combinations(range(1, n + 1), 4):
-        lhs = (_band(i, k), _band(j, k), _band(j, l), (edge_generator_name(j, k), -1))
-        rhs = (_band(j, k), _band(j, l), (edge_generator_name(j, k), -1), _band(i, k))
-        relators.append(equation_relator(lhs, rhs))
-    return Presentation(gens, tuple(relators))
+    return pure_chromatic_presentation(complete(n))
 
 
 def pure_chromatic_presentation(G: SimpleGraph) -> Presentation:
@@ -173,45 +147,45 @@ def pure_chromatic_presentation(G: SimpleGraph) -> Presentation:
     Each schema tests every edge it names, so each instance is emitted
     once, non-empty and freely reduced, and no two relators agree up to
     cyclic canonicalization.  Commutator-shaped relators are emitted
-    lexicographically smaller generator first.
+    lexicographically smaller generator name first ("s10_11" before
+    "s1_2").  On the complete graph this is markoff_presentation.
     """
     n = G.vertices
-    edge = G.has_edge
+    # name[i][j] is the generator name of {i, j} when it is an edge, else
+    # None: every edge and 3-circuit test below is one or three lookups in it
+    name: list[list[str | None]] = [[None] * (n + 1) for _ in range(n + 1)]
+    for i, j in G.edges:
+        name[i][j] = name[j][i] = edge_generator_name(i, j)
     relators: list[Relator] = []
 
-    def comm_sorted(e1: tuple[int, int], e2: tuple[int, int]) -> Relator:
-        x, y = sorted((edge_generator_name(*e1), edge_generator_name(*e2)))
-        return commutator(x, y)
+    def comm_sorted(x: str, y: str) -> Relator:
+        return commutator(x, y) if x < y else commutator(y, x)
 
     for a, b, c, d in combinations(range(1, n + 1), 4):
-        if edge(a, b) and edge(c, d):
-            relators.append(comm_sorted((a, b), (c, d)))
-        if edge(a, d) and edge(b, c):
-            relators.append(comm_sorted((a, d), (b, c)))
+        if name[a][b] and name[c][d]:
+            relators.append(comm_sorted(name[a][b], name[c][d]))
+        if name[a][d] and name[b][c]:
+            relators.append(comm_sorted(name[a][d], name[b][c]))
     for i, j, k in combinations(range(1, n + 1), 3):
-        if is_3_circuit(G, i, j, k):
-            relators.extend(
-                _triple_equality(
-                    (_band(i, j), _band(i, k), _band(j, k)),
-                    (_band(i, k), _band(j, k), _band(i, j)),
-                    (_band(j, k), _band(i, j), _band(i, k)),
-                )
-            )
+        if name[i][j] and name[j][k] and name[i][k]:
+            # the three-way equality xyz = yzx = zxy as its two consecutive equations
+            x, y, z = (name[i][j], 1), (name[i][k], 1), (name[j][k], 1)
+            relators.append(equation_relator((x, y, z), (y, z, x)))
+            relators.append(equation_relator((y, z, x), (z, x, y)))
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             for k in range(i + 1, n + 1):
-                if edge(i, j) and edge(j, k) and not edge(i, k):
-                    relators.append(comm_sorted((i, j), (j, k)))
+                if name[i][j] and name[j][k] and not name[i][k]:
+                    relators.append(comm_sorted(name[i][j], name[j][k]))
     for i, j, k, l in combinations(range(1, n + 1), 4):
-        if edge(i, k) and edge(j, l):
-            if is_3_circuit(G, j, k, l):
-                lhs = (_band(i, k), _band(j, k), _band(j, l), (edge_generator_name(j, k), -1))
-                rhs = (_band(j, k), _band(j, l), (edge_generator_name(j, k), -1), _band(i, k))
-                relators.append(equation_relator(lhs, rhs))
+        if name[i][k] and name[j][l]:
+            if name[j][k] and name[k][l]:  # {j, k, l} a 3-circuit, {j, l} in E
+                x, y, z, y_inv = (name[i][k], 1), (name[j][k], 1), (name[j][l], 1), (name[j][k], -1)
+                relators.append(equation_relator((x, y, z, y_inv), (y, z, y_inv, x)))
             else:
-                relators.append(comm_sorted((i, k), (j, l)))
+                relators.append(comm_sorted(name[i][k], name[j][l]))
 
-    gens = tuple(edge_generator_name(i, j) for i, j in G.edges_sorted())
+    gens = tuple(name[i][j] for i, j in G.edges_sorted())
     return Presentation(gens, tuple(relators))
 
 

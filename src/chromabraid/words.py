@@ -5,10 +5,10 @@ sigma_k or sigma_k^-1, 1 <= k <= n-1, stored as signed integers: k > 0
 encodes sigma_k and k < 0 encodes sigma_|k|^-1.  The textual form is the
 same sequence as whitespace-separated decimal integers, e.g. "1 2 -1".
 
-Besides the free-monoid plumbing (parse, format, concat, inverse, free
-reduction, and reduced_middles, which also cancels inverse pairs across
-far-commuting letters before dropping a common prefix and suffix) the
-module provides the named word families
+Besides the free-monoid plumbing (parse, format, concat, inverse, power,
+and reduced_middles, which cancels inverse pairs, also across far-commuting
+letters, before dropping a common prefix and suffix) the module provides
+the named word families
 
     a_word(i, j)   = sigma_{j-1} ... sigma_{i+1} sigma_i          (empty for i = j)
     s_word(i, j)   = sigma_{j-1} ... sigma_{i+1} sigma_i^2 sigma_{i+1}^-1 ... sigma_{j-1}^-1
@@ -154,23 +154,9 @@ def inverse(w: BraidWord) -> BraidWord:
 
 
 def power(w: BraidWord, e: int) -> BraidWord:
-    """w^e by repeated concatenation; negative e inverts first."""
+    """w^e as |e| copies of w, or of w^-1 when e is negative."""
     base = w if e >= 0 else inverse(w)
-    letters: tuple[int, ...] = ()
-    for _ in range(abs(e)):
-        letters += base.letters
-    return BraidWord(w.strands, letters)
-
-
-def free_reduce(w: BraidWord) -> BraidWord:
-    """Cancel adjacent sigma_k sigma_k^-1 pairs until none remain."""
-    stack: list[int] = []
-    for k in w.letters:
-        if stack and stack[-1] == -k:
-            stack.pop()
-        else:
-            stack.append(k)
-    return BraidWord(w.strands, tuple(stack))
+    return BraidWord(w.strands, base.letters * abs(e))
 
 
 def _cancel_far(n: int, letters: tuple[int, ...]) -> tuple[int, ...]:

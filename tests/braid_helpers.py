@@ -1,6 +1,15 @@
-"""Structural checks on normal forms, shared by the test modules."""
+"""Structural checks on normal forms, and the reference enumeration of
+Markoff's presentation, shared by the test modules."""
+
+from itertools import combinations
 
 from chromabraid.garside import NormalForm
+from chromabraid.presentations import (
+    Presentation,
+    commutator,
+    edge_generator_name,
+    equation_relator,
+)
 from chromabraid.words import Permutation
 
 
@@ -34,3 +43,40 @@ def is_left_weighted(nf: NormalForm) -> bool:
         starting_set(nf.factors[t + 1]) <= finishing_set(nf.factors[t])
         for t in range(len(nf.factors) - 1)
     )
+
+
+def markoff_reference(n: int) -> Presentation:
+    """Markoff's presentation of the pure braid group on n strands, built from
+    its three relation families directly (A. A. Markoff, "Foundations of the
+    algebraic theory of tresses", 1945), without any graph:
+      (1) [s_{i,j}, s_{k,l}] for i<j<k<l and for i<k<l<j,
+      (2) s_{i,j} s_{i,k} s_{j,k} = s_{i,k} s_{j,k} s_{i,j}
+                                  = s_{j,k} s_{i,j} s_{i,k} for i<j<k,
+      (3) s_{i,k} s_{j,k} s_{j,l} s_{j,k}^-1
+            = s_{j,k} s_{j,l} s_{j,k}^-1 s_{i,k} for i<j<k<l.
+    Relators come family by family, each family in the lexicographic order
+    of its vertex tuples; a commutator is written smaller name first and a
+    three-way equality as its two consecutive equations."""
+    vertices = range(1, n + 1)
+
+    def band(i, j, e=1):
+        return (edge_generator_name(i, j), e)
+
+    def comm(x, y):
+        return commutator(min(x, y), max(x, y))
+
+    relators = []
+    for a, b, c, d in combinations(vertices, 4):
+        relators.append(comm(edge_generator_name(a, b), edge_generator_name(c, d)))
+        relators.append(comm(edge_generator_name(a, d), edge_generator_name(b, c)))
+    for i, j, k in combinations(vertices, 3):
+        w1 = (band(i, j), band(i, k), band(j, k))
+        w2 = (band(i, k), band(j, k), band(i, j))
+        w3 = (band(j, k), band(i, j), band(i, k))
+        relators += [equation_relator(w1, w2), equation_relator(w2, w3)]
+    for i, j, k, l in combinations(vertices, 4):
+        lhs = (band(i, k), band(j, k), band(j, l), band(j, k, -1))
+        rhs = (band(j, k), band(j, l), band(j, k, -1), band(i, k))
+        relators.append(equation_relator(lhs, rhs))
+    gens = tuple(edge_generator_name(i, j) for i, j in combinations(vertices, 2))
+    return Presentation(gens, tuple(relators))

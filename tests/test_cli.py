@@ -326,6 +326,64 @@ class TestVerifyPaper:
         assert (code1, out1, err1) == (code2, out2, err2)
 
 
+class TestMainProperty:
+    """main over generated argv: every command, named graphs and a graph
+    file, malformed words, small counts.  It never raises, exits 0, 1 or 2,
+    and exit 2 prints exactly one error line."""
+
+    def test_main_never_raises(self, capsys, tmp_path):
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings, strategies as st
+
+        def named_graph(max_vertices):
+            kinds = st.sampled_from(("cycle", "path", "complete"))
+            return st.builds("{}:{}".format, kinds, st.integers(0, max_vertices))
+
+        @st.composite
+        def graph_file(draw):
+            # edge ends in 0..8 give loops and out-of-range vertices
+            n = draw(st.integers(0, 7))
+            edges = draw(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=8))
+            path = tmp_path / "g.txt"
+            path.write_text(f"{n} {len(edges)}\n" + "".join(f"{i} {j}\n" for i, j in edges))
+            return str(path)
+
+        # half the words also draw zero, out-of-range and non-integer tokens
+        letter = st.integers(-2, 2).filter(bool).map(str)
+        noise = st.sampled_from(("0", "9", "-9", "x", "1.5", "--"))
+        word = st.one_of(
+            st.lists(letter, max_size=8), st.lists(letter | noise, max_size=8)
+        ).map(" ".join)
+        strands = st.one_of(
+            st.integers(1, 8).map(lambda n: ("-n", str(n))),
+            named_graph(8).map(lambda g: ("--graph", g)),
+        )
+        fmt = st.sampled_from(("plain", "algebra-system"))
+        numbered = st.sampled_from(("artin", "markoff", "cyclic", "dihedral"))
+        argvs = st.one_of(
+            st.builds(lambda g: ("aut", g), named_graph(7) | graph_file()),
+            st.builds(
+                lambda kind, k, f: ("present", kind, str(k), "--format", f),
+                numbered, st.integers(1, 12), fmt,
+            ),
+            st.builds(lambda g, f: ("present", "pure", g, "--format", f), named_graph(12), fmt),
+            st.builds(lambda u, v, s: ("eq", u, v, *s), word, word, strands),
+            st.builds(lambda w, s: ("invariants", w, *s), word, strands),
+            st.builds(lambda m: ("verify-paper", "--max-n", str(m)), st.integers(1, 5)),
+        )
+
+        @settings(max_examples=150)
+        @given(argvs)
+        def check(argv):
+            code = main(list(argv))
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2), argv
+            if code == 2:
+                assert sum("error:" in line for line in err.splitlines()) == 1, (argv, err)
+
+        check()
+
+
 class TestEntryPoints:
     @pytest.mark.skipif(
         shutil.which("chromabraid") is None,

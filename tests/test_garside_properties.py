@@ -296,12 +296,15 @@ def reference_cancel_far(letters):
 # sigma_2^-1 exposes sigma_1 to sigma_1^-1, and the last sigma_1^-1 cancels
 # across sigma_4
 @example((6, (1, 4, 2, -2, -1, 3, 1, 4, -1)))
+# nested inverse pairs: sigma_2 sigma_2^-1 cancels, then sigma_1 sigma_1^-1
+@example((4, (1, 2, -2, -1, 3)))
 def test_cancel_far_matches_backward_scan(case):
     n, w = case
     assert words._cancel_far(n, w) == reference_cancel_far(w)
 
 
 @given(kernel_words(max_len=60))
+@example((4, (1, 2, -2, -1, 3)))
 def test_cancel_far_keeps_the_braid(case):
     n, w = case
     reduced = words._cancel_far(n, w)

@@ -30,6 +30,8 @@ from chromabraid.presentations import (
 from chromabraid.verify import standard_graph_suite
 from chromabraid.words import BraidWord, a_word, parse_word, s_word
 
+from braid_helpers import markoff_reference
+
 
 def star(n):
     return from_edge_list(n, [(1, k) for k in range(2, n + 1)])
@@ -161,11 +163,20 @@ class TestMarkoff:
                 assert equal_in_Bn(substitute(rel, table, n), BraidWord(n))
 
     def test_complete_graph_gives_same_presentation(self):
-        for n in range(3, 6):
+        for n in range(3, 13):
+            assert equivalent_presentations(markoff_presentation(n), markoff_reference(n))
+
+    def test_is_the_complete_graph_case(self):
+        # from n = 11 a name-first order and a position-first order of the
+        # commutators differ: "s10_11" < "s1_2"
+        for n in (11, 12):
             assert equivalent_presentations(
-                markoff_presentation(n),
-                pure_chromatic_presentation(complete(n)),
+                markoff_presentation(n), pure_chromatic_presentation(complete(n))
             )
+
+    def test_complete_graph_matches_reference_exactly(self):
+        for n in range(2, 13):
+            assert pure_chromatic_presentation(complete(n)) == markoff_reference(n)
 
 
 class TestPureChromatic:
@@ -446,6 +457,18 @@ class TestPresentDigest:
             for dialect in ("plain", "algebra-system"):
                 digest.update(format_presentation(p, dialect).encode())
         assert digest.hexdigest() == self.DIGEST
+
+    # markoff for n = 9..12 in both dialects, the same bytes as `present pure
+    # complete:N`: from n = 11 the name order of a commutator ("s10_11" <
+    # "s1_2") and its vertex order differ
+    MARKOFF_DIGEST = "7d06d993ba52385e1372536d211c0ed4c6ede40119a0b0fce0ab51f96fb89dd2"
+
+    def test_markoff_digest(self):
+        digest = hashlib.sha256()
+        for n in range(9, 13):
+            for dialect in ("plain", "algebra-system"):
+                digest.update(format_presentation(markoff_presentation(n), dialect).encode())
+        assert digest.hexdigest() == self.MARKOFF_DIGEST
 
     def test_pure_relators_are_reduced_edge_words_without_repeats(self):
         for G in small_graphs(5):

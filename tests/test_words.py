@@ -15,7 +15,6 @@ from chromabraid.words import (
     crossing_matrix,
     e_word,
     format_word,
-    free_reduce,
     inverse,
     is_pure,
     parse_word,
@@ -224,21 +223,6 @@ class TestWordFamilies:
             psi_b_word(3)
 
 
-class TestFreeReduce:
-    def test_cancels_nested(self):
-        w = BraidWord(4, (1, 2, -2, -1, 3))
-        assert free_reduce(w).letters == (3,)
-
-    def test_fixed_point(self):
-        rng = random.Random(13)
-        for _ in range(100):
-            w = free_reduce(rand_word(rng, 5, 14))
-            assert all(
-                w.letters[i] != -w.letters[i + 1] for i in range(len(w.letters) - 1)
-            )
-            assert free_reduce(w) == w
-
-
 class TestReducedMiddles:
     def test_cancels_across_far_letters_only(self):
         far, near = BraidWord(4, (1, 3, -1)), BraidWord(4, (1, 2, -1))
@@ -273,6 +257,13 @@ class TestConcatPower:
         assert power(w, 2).letters == (1, 2, 1, 2)
         assert power(w, -1) == inverse(w)
         assert power(w, -2).letters == (-2, -1, -2, -1)
+        w = BraidWord(4, (1, -3, 2))
+        for e in range(-3, 4):
+            assert power(w, e).letters == (w if e >= 0 else inverse(w)).letters * abs(e)
+        # the rotation lift a^999 on 1,000 strands: 998,001 letters, which
+        # repeated concatenation would build in quadratic time
+        w = psi_a_word(1000)
+        assert power(w, 999).letters == w.letters * 999
 
 
 class TestCrossingMatrix:
