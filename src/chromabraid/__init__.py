@@ -21,7 +21,6 @@ from ._kernel import KERNEL
 from .chromatic import (
     ChromaticElement,
     EdgeVector,
-    edge_action,
     edge_lk,
     equal_in_BGamma,
     i_star,
@@ -36,7 +35,6 @@ from .errors import (
     ChromabraidError,
     GraphInputError,
     IndexRangeError,
-    MissingEntryError,
     NotAutomorphismError,
     NotPureError,
     OutOfScopeError,
@@ -77,7 +75,6 @@ from .presentations import (
     cyclic_braid_presentation,
     dihedral_presentation,
     equivalent_presentations,
-    extension_presentation,
     format_presentation,
     markoff_presentation,
     pure_chromatic_presentation,
@@ -93,7 +90,6 @@ from .words import (
     e_word,
     format_word,
     inverse,
-    is_pure,
     parse_word,
     perm_of,
     power,

@@ -13,10 +13,13 @@ the normal form is the left-weighted one.  normal_form_in_BGamma picks the
 form by graph class, and equality in B(G) is equality of forms.
 
 Crossing counts are additive along a word once the second factor is
-relabelled through the permutation of the first, C(uv) = C(u) +
-C(v).relabeled(perm(u)) (see words.CrossingMatrix), and C(s^-1) is
--C(s) relabelled through perm(s)^-1.  For a section word s of g = perm(w)
-the two relabellings cancel, so
+relabelled through the permutation of the first,
+
+    C(uv)[p][q] = C(u)[p][q] + C(v)[g(p)][g(q)],   g = perm(u)
+
+(see words.CrossingMatrix), and C(s^-1)[p][q] = -C(s)[h(p)][h(q)] with
+h = perm(s)^-1.  For a section word s of g = perm(w) the two relabellings
+cancel, so
 
     C(w section(g)^-1) = C(w) - C(section(g))
 
@@ -74,13 +77,6 @@ class EdgeVector:
             raise GraphInputError(
                 f"vector length {len(self.coords)} != edge count {len(self.graph.edges)}"
             )
-
-    def coefficient(self, i: int, j: int) -> int:
-        e = (min(i, j), max(i, j))
-        try:
-            return self.coords[_edge_index(self.graph)[e]]
-        except KeyError:
-            raise GraphInputError(f"{e} is not an edge of the graph") from None
 
     def is_zero(self) -> bool:
         return not any(self.coords)
@@ -282,18 +278,3 @@ def equal_in_BGamma(u: BraidWord, v: BraidWord, G: SimpleGraph) -> bool:
     _check_strands(u, G)
     _check_strands(v, G)
     return normal_form_in_BGamma(u, G) == normal_form_in_BGamma(v, G)
-
-
-def edge_action(g: Permutation, v: EdgeVector) -> EdgeVector:
-    """Push-forward of an edge vector: coordinate at {g(i), g(j)} = old at {i, j}."""
-    G = v.graph
-    if not is_automorphism(G, g):
-        raise NotAutomorphismError(
-            f"permutation {g.one_line()} is not an automorphism of the graph"
-        )
-    index = _edge_index(G)
-    coords = [0] * len(G.edges)
-    for (i, j), src in index.items():
-        t = (min(g.apply(i), g.apply(j)), max(g.apply(i), g.apply(j)))
-        coords[index[t]] = v.coords[src]
-    return EdgeVector(G, tuple(coords))

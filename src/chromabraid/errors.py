@@ -49,9 +49,5 @@ class OutOfScopeError(ChromabraidError, ValueError):
     """Graph outside the decidable fragment: has a 3-circuit and is not complete."""
 
 
-class MissingEntryError(ChromabraidError, KeyError):
-    """Action or cocycle table is missing a required entry."""
-
-
 class ResourceLimitError(ChromabraidError, ValueError):
     """Computation refused: its worst-case memory exceeds a fixed limit."""

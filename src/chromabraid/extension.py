@@ -15,9 +15,10 @@ by the homomorphism property to_element(u w) = to_element(u) to_element(w),
 which the test suite checks over random admissible words.
 
 Everything here is table lookups per n, by the additivity of crossing
-counts C(uv) = C(u) + C(v).relabeled(perm(u)) (words.CrossingMatrix).  With
-a_d the edge entries of C(psi(d)) (chromatic.dihedral_lift_counts), and
-relabelling by an automorphism g acting on edge entries as g |> -,
+counts C(uv)[p][q] = C(u)[p][q] + C(v)[g(p)][g(q)] with g = perm(u)
+(words.CrossingMatrix).  With a_d the edge entries of C(psi(d))
+(chromatic.dihedral_lift_counts), and relabelling by an automorphism g
+acting on edge entries as g |> -,
 
     c(g, h) = (a_g + g |> a_h - a_gh) / 2,
 

@@ -37,22 +37,11 @@ from .words import BraidWord, Permutation, perm_of, reduced_middles
 @dataclass(frozen=True)
 class NormalForm:
     """Normal form Delta^infimum . factors.  Delta and identity never appear
-    among the factors; canonical_length is the factor count."""
+    among the factors."""
 
     strands: int
     infimum: int
     factors: tuple[Permutation, ...]
-
-    @property
-    def canonical_length(self) -> int:
-        return len(self.factors)
-
-    @property
-    def supremum(self) -> int:
-        return self.infimum + len(self.factors)
-
-    def is_trivial(self) -> bool:
-        return self.infimum == 0 and not self.factors
 
     def __str__(self) -> str:
         body = "|".join(",".join(str(v) for v in f.image) for f in self.factors)

@@ -21,10 +21,23 @@ _GRAPH_CACHE_SIZE = 64
 
 @dataclass(frozen=True)
 class SimpleGraph:
-    """Undirected simple graph; edges are stored as sorted vertex pairs."""
+    """Undirected simple graph on 1..vertices; each edge is a pair i < j."""
 
     vertices: int
     edges: frozenset[tuple[int, int]]
+
+    def __post_init__(self):
+        n = self.vertices
+        if n < 0:
+            raise GraphInputError(f"vertex count must be >= 0, got {n}")
+        check_strands(n)
+        for i, j in self.edges:
+            if i == j:
+                raise GraphInputError(f"loop edge at vertex {i}")
+            if not (1 <= i <= n and 1 <= j <= n):
+                raise GraphInputError(f"edge ({i}, {j}) outside vertex range 1..{n}")
+            if i > j:
+                raise GraphInputError(f"edge ({i}, {j}) is not written smaller vertex first")
 
     def has_edge(self, i: int, j: int) -> bool:
         return (min(i, j), max(i, j)) in self.edges
@@ -40,18 +53,14 @@ class SimpleGraph:
 
 
 def from_edge_list(n: int, pairs) -> SimpleGraph:
-    """Build a graph from vertex pairs; multi-edges collapse, loops are errors."""
-    if n < 0:
-        raise GraphInputError(f"vertex count must be >= 0, got {n}")
+    """Build a graph from vertex pairs in either order; multi-edges collapse.
+
+    The strand cap is checked before the pairs are read, so complete(n)
+    refuses a large n before it enumerates n(n-1)/2 pairs; SimpleGraph
+    checks the rest.
+    """
     check_strands(n)
-    edges = set()
-    for i, j in pairs:
-        if i == j:
-            raise GraphInputError(f"loop edge at vertex {i}")
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise GraphInputError(f"edge ({i}, {j}) outside vertex range 1..{n}")
-        edges.add((min(i, j), max(i, j)))
-    return SimpleGraph(n, frozenset(edges))
+    return SimpleGraph(n, frozenset((min(i, j), max(i, j)) for i, j in pairs))
 
 
 @lru_cache(maxsize=None)

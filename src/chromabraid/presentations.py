@@ -1,5 +1,6 @@
 """Finite presentations: the classical braid presentations, the band-generator
-presentation, its graph-conditioned quotient, and split-extension assembly.
+presentation, its graph-conditioned quotient, and the cycle-conditioned group,
+a split extension with the edge lattice as kernel and dihedral quotient.
 
 A relator is a tuple of (generator name, +-1) tokens, always kept freely
 reduced; a presentation is a generator tuple plus a relator tuple.  One
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from ._kernel import check_strands
-from .errors import IndexRangeError, MissingEntryError
+from .errors import IndexRangeError
 from .graphs import SimpleGraph, complete, cycle, dihedral_generators
 from .words import BraidWord, psi_r, psi_s, s_word
 
@@ -204,39 +205,6 @@ def dihedral_presentation(n: int) -> Presentation:
 
 def psi_name(t: str) -> str:
     return f"psi_{t}"
-
-
-def extension_presentation(A: Presentation, G: Presentation, action, cocycle_words) -> Presentation:
-    """Presentation of an extension of G by A from conjugation and lifting data.
-
-    action maps (quotient generator t, kernel generator s) to a word over
-    A.generators equal to psi(t)^-1 s psi(t); cocycle_words maps each
-    relator q of G to the word over A.generators equal to q evaluated at
-    the lifts psi(t).  Output generators are A's followed by psi_t for each
-    t of G; output relators are A's, then the conjugation relators
-    psi_t^-1 s psi_t action(t,s)^-1, then q(psi) cocycle_words[q]^-1.
-    """
-    psi = {t: psi_name(t) for t in G.generators}
-    clash = set(psi.values()) & set(A.generators)
-    if clash:
-        raise ValueError(f"lift names collide with kernel generators: {sorted(clash)}")
-    relators: list[Relator] = list(A.relators)
-    for t in G.generators:
-        for s in A.generators:
-            try:
-                conj = tuple(action[t, s])
-            except KeyError:
-                raise MissingEntryError(f"action table misses ({t!r}, {s!r})") from None
-            lhs = ((psi[t], -1), (s, 1), (psi[t], 1))
-            relators.append(equation_relator(lhs, conj))
-    for q in G.relators:
-        try:
-            value = tuple(cocycle_words[q])
-        except KeyError:
-            raise MissingEntryError(f"cocycle table misses relator {q!r}") from None
-        lifted = tuple((psi[t], e) for t, e in q)
-        relators.append(equation_relator(lifted, value))
-    return Presentation(A.generators + tuple(psi[t] for t in G.generators), tuple(relators))
 
 
 def cyclic_relations(n: int) -> list[tuple[str, Relator, Relator]]:

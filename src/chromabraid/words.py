@@ -52,14 +52,6 @@ class Permutation:
     def identity(n: int) -> Permutation:
         return Permutation(tuple(range(1, n + 1)))
 
-    @staticmethod
-    def transposition(n: int, i: int, j: int) -> Permutation:
-        if not (1 <= i <= n and 1 <= j <= n and i != j):
-            raise IndexRangeError(f"transposition ({i} {j}) undefined on 1..{n}")
-        image = list(range(1, n + 1))
-        image[i - 1], image[j - 1] = j, i
-        return Permutation(tuple(image))
-
     @property
     def size(self) -> int:
         return len(self.image)
@@ -270,10 +262,6 @@ def perm_of(w: BraidWord) -> Permutation:
     return Permutation(tuple(image))
 
 
-def is_pure(w: BraidWord) -> bool:
-    return perm_of(w).is_identity()
-
-
 @dataclass(frozen=True)
 class CrossingMatrix:
     """Symmetric matrix of signed crossing counts between labelled strands.
@@ -281,39 +269,15 @@ class CrossingMatrix:
     rows[p-1][q-1] counts crossings of the strands *starting* at positions p
     and q, each counted +1 when positive and -1 when negative.  Additivity
     under concatenation holds after relabelling the second factor through
-    the permutation of the first: M(uv) = M(u) + M(v).relabeled(perm_of(u)).
+    the permutation g = perm_of(u) of the first:
+
+        M(uv)[p][q] = M(u)[p][q] + M(v)[g(p)][g(q)].
     """
 
     rows: tuple[tuple[int, ...], ...]
 
-    @property
-    def size(self) -> int:
-        return len(self.rows)
-
     def entry(self, p: int, q: int) -> int:
         return self.rows[p - 1][q - 1]
-
-    def __add__(self, other: CrossingMatrix) -> CrossingMatrix:
-        if self.size != other.size:
-            raise StrandMismatchError("adding crossing matrices of different sizes")
-        return CrossingMatrix(
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            )
-        )
-
-    def relabeled(self, g: Permutation) -> CrossingMatrix:
-        """Matrix in the start labels of a word preceding this one: new[p][q] = old[g(p)][g(q)]."""
-        if g.size != self.size:
-            raise StrandMismatchError("relabelling permutation has the wrong size")
-        n = self.size
-        return CrossingMatrix(
-            tuple(
-                tuple(self.entry(g.apply(p), g.apply(q)) for q in range(1, n + 1))
-                for p in range(1, n + 1)
-            )
-        )
 
 
 def crossing_matrix(w: BraidWord) -> CrossingMatrix:

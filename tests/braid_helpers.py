@@ -1,5 +1,5 @@
-"""Structural checks on normal forms, and the reference enumeration of
-Markoff's presentation, shared by the test modules."""
+"""Structural checks on normal forms, transpositions, and the reference
+enumeration of Markoff's presentation, shared by the test modules."""
 
 from itertools import combinations
 
@@ -16,6 +16,13 @@ from chromabraid.words import Permutation
 def half_twist_perm(n: int) -> Permutation:
     """Permutation of the positive half twist: i -> n + 1 - i."""
     return Permutation(tuple(range(n, 0, -1)))
+
+
+def transposition(n: int, i: int, j: int) -> Permutation:
+    """The permutation of 1..n that swaps i and j."""
+    image = list(range(1, n + 1))
+    image[i - 1], image[j - 1] = j, i
+    return Permutation(tuple(image))
 
 
 def starting_set(g: Permutation) -> frozenset[int]:

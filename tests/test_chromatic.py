@@ -8,7 +8,6 @@ from chromabraid.chromatic import (
     ChromaticElement,
     EdgeVector,
     dihedral_section_word,
-    edge_action,
     edge_lk,
     equal_in_BGamma,
     i_star,
@@ -25,6 +24,7 @@ from chromabraid.errors import (
     OutOfScopeError,
     StrandMismatchError,
 )
+from chromabraid.extension import _act
 from chromabraid.garside import equal_in_Bn, normal_form
 from chromabraid.graphs import (
     DihedralElement,
@@ -74,13 +74,14 @@ class TestEdgeVector:
         assert not u.is_zero()
 
     def test_coefficient_lookup(self):
+        # the coordinate of an edge is its place in the sorted edge list,
+        # whichever order its vertices are given in
         G = cycle(4)
-        v = unit_vector(G, 4, 1)
-        assert v.coefficient(1, 4) == 1
-        assert v.coefficient(4, 1) == 1
-        assert v.coefficient(2, 3) == 0
+        assert G.edges_sorted().index((1, 4)) == 1
+        assert unit_vector(G, 4, 1) == unit_vector(G, 1, 4)
+        assert unit_vector(G, 4, 1).coords == (0, 1, 0, 0)
         with pytest.raises(GraphInputError):
-            v.coefficient(1, 3)
+            unit_vector(G, 1, 3)
 
     def test_str(self):
         assert str(unit_vector(cycle(4), 2, 3)) == "[0,0,1,0]"
@@ -329,17 +330,18 @@ class TestEqualInBGamma:
 
 
 class TestEdgeAction:
+    """extension._act, the pull-back (g |> v)[e] = v[g(e)] over cycle(n)."""
+
     def test_rotation_example(self):
         G = cycle(4)
-        a, _ = (DihedralElement(4, 1, False), None)
-        v = edge_action(a.to_perm(), unit_vector(G, 1, 2))
-        assert v == unit_vector(G, 2, 3)
+        a = DihedralElement(4, 1, False).to_perm()
+        assert _act(a, unit_vector(G, 1, 2)) == unit_vector(G, 1, 4)
+        assert _act(a.inverse(), unit_vector(G, 1, 2)) == unit_vector(G, 2, 3)
 
     def test_reflection_example(self):
         G = cycle(4)
-        b = DihedralElement(4, 0, True)
-        v = edge_action(b.to_perm(), unit_vector(G, 1, 2))
-        assert v == unit_vector(G, 1, 4)
+        b = DihedralElement(4, 0, True).to_perm()
+        assert _act(b, unit_vector(G, 1, 2)) == unit_vector(G, 1, 4)
 
     def test_composition(self):
         G = cycle(6)
@@ -349,28 +351,29 @@ class TestEdgeAction:
             g = rng.choice(auts)
             h = rng.choice(auts)
             v = EdgeVector(G, tuple(rng.randint(-3, 3) for _ in range(6)))
-            assert edge_action(h * g, v) == edge_action(g, edge_action(h, v))
+            assert _act(g * h, v) == _act(g, _act(h, v))
 
     def test_linear(self):
-        G = star(5)
-        g = Permutation((1, 3, 2, 5, 4))
-        u = unit_vector(G, 1, 2)
-        v = unit_vector(G, 1, 4)
-        assert edge_action(g, u + v) == edge_action(g, u) + edge_action(g, v)
+        G = cycle(6)
+        rng = random.Random(4)
+        for g in automorphisms(G):
+            u = EdgeVector(G, tuple(rng.randint(-3, 3) for _ in range(6)))
+            v = EdgeVector(G, tuple(rng.randint(-3, 3) for _ in range(6)))
+            assert _act(g, u + v) == _act(g, u) + _act(g, v)
 
     def test_rejects_non_automorphism(self):
         with pytest.raises(NotAutomorphismError):
-            edge_action(Permutation((2, 1, 3, 4)), zero_vector(cycle(4)))
+            _act(Permutation((2, 1, 3, 4)), zero_vector(cycle(4)))
 
     def test_matches_edge_lk_conjugation(self):
         # Conjugating a pure word as lift^-1 w lift pushes the edge vector
-        # forward along the lift's permutation.
+        # forward along the lift's permutation g: the pull-back along g^-1.
         G = cycle(5)
         for g in automorphisms(G):
             lift = section(g, G)
             w = s_word(2, 3, 5)
             conj = concat(concat(inverse(lift), w), lift)
-            assert edge_lk(conj, G) == edge_action(g, edge_lk(w, G))
+            assert edge_lk(conj, G) == _act(g.inverse(), edge_lk(w, G))
 
 
 class TestChromaticElement:

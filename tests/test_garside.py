@@ -2,7 +2,7 @@
 
 import hashlib
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -76,9 +76,9 @@ class TestSpotValues:
             assert (nf.infimum, nf.factors) == (1, ())
 
     def test_trivial_words(self):
-        assert normal_form(BraidWord(5)).is_trivial()
-        assert normal_form(BraidWord(1)).is_trivial()
-        assert normal_form(BraidWord(3, (1, -1))).is_trivial()
+        assert normal_form(BraidWord(5)) == NormalForm(5, 0, ())
+        assert normal_form(BraidWord(1)) == NormalForm(1, 0, ())
+        assert normal_form(BraidWord(3, (1, -1))) == NormalForm(3, 0, ())
 
     def test_single_negative_letter(self):
         nf = normal_form(BraidWord(3, (-1,)))
@@ -97,9 +97,12 @@ class TestSpotValues:
         assert [f.image for f in nf.factors] == [(1, 3, 2, 4)]
 
     def test_counts(self):
+        # a positive word: no Delta, and the factors' lengths (their
+        # inversion counts) add up to the 5 letters
         nf = normal_form(BraidWord(4, (1, 3, 2, 2, 1)))
-        assert nf.canonical_length == len(nf.factors)
-        assert nf.supremum == nf.infimum + nf.canonical_length
+        assert nf.infimum == 0
+        assert [f.image for f in nf.factors] == [(3, 1, 4, 2), (2, 3, 1, 4)]
+        assert sum(a > b for f in nf.factors for a, b in combinations(f.image, 2)) == 5
 
 
 class TestKernelEdgeCases:
@@ -336,4 +339,5 @@ class TestKernelLanes:
 
     def test_normal_form_dataclass(self):
         nf = NormalForm(3, 0, (Permutation((2, 1, 3)),))
-        assert nf.canonical_length == 1
+        assert nf == normal_form(BraidWord(3, (1,)))
+        assert str(nf) == "D^0:2,1,3"

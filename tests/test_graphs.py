@@ -60,6 +60,24 @@ class TestConstruction:
         with pytest.raises(GraphInputError):
             from_edge_list(3, [(1, 4)])
 
+    @pytest.mark.parametrize(
+        "n, edges, message",
+        [
+            (3, {(1, 7)}, "outside vertex range"),
+            (3, {(0, 2)}, "outside vertex range"),
+            (3, {(2, 2)}, "loop edge"),
+            (4, {(1, 2), (2, 3), (3, 4), (4, 1)}, "smaller vertex first"),
+            (-1, set(), "vertex count"),
+        ],
+        ids=["out_of_range", "vertex_zero", "loop", "unsorted", "negative_count"],
+    )
+    def test_direct_construction_validates(self, n, edges, message):
+        # without the check these gave IndexError deep in
+        # pure_chromatic_presentation and i_star, a generator named s2_2,
+        # and a 4-cycle unequal to cycle(4)
+        with pytest.raises(GraphInputError, match=message):
+            SimpleGraph(n, frozenset(edges))
+
     def test_families(self):
         assert cycle(4).edges == frozenset({(1, 2), (2, 3), (3, 4), (1, 4)})
         assert path(3).edges == frozenset({(1, 2), (2, 3)})
@@ -70,8 +88,15 @@ class TestConstruction:
             path(0)
 
     @pytest.mark.parametrize(
-        "build", [cycle, path, complete, lambda n: from_edge_list(n, [])],
-        ids=["cycle", "path", "complete", "from_edge_list"],
+        "build",
+        [
+            cycle,
+            path,
+            complete,
+            lambda n: from_edge_list(n, []),
+            lambda n: SimpleGraph(n, frozenset()),
+        ],
+        ids=["cycle", "path", "complete", "from_edge_list", "SimpleGraph"],
     )
     def test_strand_cap(self, build):
         with pytest.raises(ResourceLimitError, match=f"^{MAX_STRANDS + 1} strands exceed"):

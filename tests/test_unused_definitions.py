@@ -1,12 +1,17 @@
-"""Every function, method and class the package defines is named somewhere.
+"""Every function, method and class the package defines is read by
+production code, or is imported by the acceptance tests.
 
-A stdlib-only dead-code check: it parses every .py file under src/, tests/
-and perfbench/ and fails on a def or class of src/chromabraid whose name no
-expression, attribute access or import of those files reads.  A definition
-is not a reading, so a name counts as used only where code refers to it.
-Dotted names in the string constants of perfbench/spans.py count as read,
-since the tracer looks its targets up by name.  Dunder methods are called
-by the language and exempt.
+A stdlib-only dead-code check in two parts.  It parses every .py file under
+src/, tests/ and perfbench/, and a name counts as read only where code
+refers to it: a definition is not a reading.  Dotted names in the string
+constants of perfbench/spans.py count as read, since the tracer looks its
+targets up by name.  Dunder methods are called by the language and exempt.
+
+- unused_definitions: a def or class of src/chromabraid that nothing reads.
+- read_only_by_tests: a definition that only tests/ read.  Reads in src/ and
+  perfbench/ are production reads, but a re-export in the package's
+  __init__.py is not a use.  Names that tests/test_acceptance.py imports
+  are exempt, since the acceptance criteria are stated in them.
 """
 
 import ast
@@ -15,6 +20,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SCANNED = ("src", "tests", "perfbench")
 SPANS = Path("perfbench") / "spans.py"
+INIT = Path("src") / "chromabraid" / "__init__.py"
+ACCEPTANCE = Path("tests") / "test_acceptance.py"
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
@@ -41,21 +48,56 @@ def read_names(tree, strings=False):
     return names
 
 
-def unused_definitions(root):
-    """'module.py:line name' for each package definition nothing reads."""
-    read = set()
+def scan(root):
+    """The package's definitions as ('module.py:line', name), and the names
+    read by production code, by the package's re-exports, by tests/, and
+    imported by tests/test_acceptance.py, keyed 'production', 'init',
+    'tests' and 'acceptance'."""
+    reads = {"production": set(), "init": set(), "tests": set(), "acceptance": set()}
     defined = []
     for top in SCANNED:
         for path in sorted((root / top).rglob("*.py")):
             rel = path.relative_to(root)
             tree = ast.parse(path.read_text(), filename=str(rel))
-            read |= read_names(tree, strings=rel == SPANS)
+            kind = "init" if rel == INIT else "tests" if top == "tests" else "production"
+            reads[kind] |= read_names(tree, strings=rel == SPANS)
+            if rel == ACCEPTANCE:
+                reads["acceptance"] |= {
+                    alias.name
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom)
+                    for alias in node.names
+                }
             if rel.parts[:2] == ("src", "chromabraid"):
                 defined += [(f"{path.name}:{line}", name) for name, line in defined_names(tree)]
+    return defined, reads
+
+
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def unused_definitions(root):
+    """'module.py:line name' for each package definition nothing reads."""
+    defined, reads = scan(root)
+    read = reads["production"] | reads["init"] | reads["tests"]
     return [
         f"{where} {name}"
         for where, name in defined
-        if name not in read and not (name.startswith("__") and name.endswith("__"))
+        if name not in read and not _is_dunder(name)
+    ]
+
+
+def read_only_by_tests(root):
+    """'module.py:line name' for each package definition that only tests
+    read and the acceptance tests do not import."""
+    defined, reads = scan(root)
+    return [
+        f"{where} {name}"
+        for where, name in defined
+        if name in reads["tests"]
+        and name not in reads["production"] | reads["acceptance"]
+        and not _is_dunder(name)
     ]
 
 
@@ -88,3 +130,39 @@ def test_detects_unread_definitions(tmp_path):
     (tmp_path / "perfbench" / "run.py").write_text("NAME = 'dead'\n")
     (tmp_path / "perfbench" / "spans.py").write_text("TARGETS = ('mod.traced',)\n")
     assert unused_definitions(tmp_path) == ["mod.py:6 dead_method", "mod.py:12 dead"]
+
+
+def test_no_definitions_only_tests_read():
+    assert read_only_by_tests(ROOT) == []
+
+
+def test_detects_definitions_only_tests_read(tmp_path):
+    package = tmp_path / "src" / "chromabraid"
+    package.mkdir(parents=True)
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "perfbench").mkdir()
+    (package / "__init__.py").write_text("from .mod import reexported\n")
+    (package / "mod.py").write_text(
+        "def used():\n"
+        "    return 0\n"
+        "def caller():\n"
+        "    return used()\n"
+        "def benched():\n"
+        "    pass\n"
+        "def traced():\n"
+        "    pass\n"
+        "def reexported():\n"
+        "    pass\n"
+        "def accepted():\n"
+        "    pass\n"
+        "def helper():\n"
+        "    pass\n"
+    )
+    (tmp_path / "tests" / "test_mod.py").write_text(
+        "from chromabraid.mod import caller, helper, reexported, traced, used\n"
+        "caller(); helper(); reexported(); traced(); used()\n"
+    )
+    (tmp_path / "tests" / "test_acceptance.py").write_text("from chromabraid.mod import accepted\n")
+    (tmp_path / "perfbench" / "run.py").write_text("from chromabraid.mod import benched, caller\n")
+    (tmp_path / "perfbench" / "spans.py").write_text("TARGETS = ('mod.traced',)\n")
+    assert read_only_by_tests(tmp_path) == ["mod.py:9 reexported", "mod.py:13 helper"]

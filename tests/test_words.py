@@ -16,7 +16,6 @@ from chromabraid.words import (
     e_word,
     format_word,
     inverse,
-    is_pure,
     parse_word,
     perm_of,
     power,
@@ -28,7 +27,7 @@ from chromabraid.words import (
     s_word,
 )
 
-from braid_helpers import half_twist_perm
+from braid_helpers import half_twist_perm, transposition
 
 
 def rand_word(rng, n, length):
@@ -133,8 +132,9 @@ class TestPermutation:
         assert (p.inverse() * p).is_identity()
 
     def test_transposition(self):
-        t = Permutation.transposition(4, 2, 4)
+        t = transposition(4, 2, 4)
         assert t.image == (1, 4, 3, 2)
+        assert (t * t).is_identity()
 
     def test_not_a_permutation(self):
         with pytest.raises(IndexRangeError):
@@ -186,7 +186,7 @@ class TestWordFamilies:
         for n in range(2, 7):
             for i in range(1, n):
                 for j in range(i + 1, n + 1):
-                    assert is_pure(s_word(i, j, n))
+                    assert perm_of(s_word(i, j, n)).is_identity()
 
     def test_e_word_letters(self):
         assert e_word(1, 3, 4).letters == (2, 1, -2)
@@ -196,7 +196,7 @@ class TestWordFamilies:
         for n in range(3, 8):
             for k in range(1, n):
                 for l in range(k + 1, n + 1):
-                    assert perm_of(e_word(k, l, n)) == Permutation.transposition(n, k, l)
+                    assert perm_of(e_word(k, l, n)) == transposition(n, k, l)
 
     def test_psi_parameters(self):
         assert (psi_r(4), psi_s(4)) == (2, 4)
@@ -290,9 +290,14 @@ class TestCrossingMatrix:
             n = rng.randint(2, 7)
             u = rand_word(rng, n, rng.randint(0, 15))
             v = rand_word(rng, n, rng.randint(0, 15))
-            got = crossing_matrix(concat(u, v))
-            expect = crossing_matrix(u) + crossing_matrix(v).relabeled(perm_of(u))
-            assert got == expect
+            # M(uv)[p][q] = M(u)[p][q] + M(v)[g(p)][g(q)], g = perm_of(u)
+            g = perm_of(u).apply
+            mu, mv = crossing_matrix(u), crossing_matrix(v)
+            expect = tuple(
+                tuple(mu.entry(p, q) + mv.entry(g(p), g(q)) for q in range(1, n + 1))
+                for p in range(1, n + 1)
+            )
+            assert crossing_matrix(concat(u, v)).rows == expect
 
     def test_symmetry(self):
         rng = random.Random(15)
