@@ -1,4 +1,4 @@
-"""The Garside kernel: left-weighted normal form and crossing counts.
+"""The Garside kernel: left-weighted normal form and the strand walk.
 
 This is the only implementation; _kernel.py checks the letters before
 calling it, since nothing here does.
@@ -185,11 +185,14 @@ def left_normal_form(n, letters):
     return p, [tuple(f) for f in factors]
 
 
-def crossing_counts(n, letters):
-    """n x n list-of-lists of signed crossing counts between labelled strands.
+def strand_walk(n, letters):
+    """One pass over the strands: (counts, ends).
 
-    Strands are labelled by start position (0-based); entry [p][q] gains the
-    sign of each letter that crosses strand p over strand q.
+    counts is the n x n list-of-lists of signed crossing counts between
+    labelled strands: strands are labelled by start position (0-based), and
+    entry [p][q] gains the sign of each letter that crosses strand p over
+    strand q.  ends[p] is the end position of strand p (0-based), the
+    permutation of the word in the kernel's one-line convention.
     """
     at = list(range(n))  # position -> strand label
     m = [[0] * n for _ in range(n)]
@@ -199,5 +202,13 @@ def crossing_counts(n, letters):
         a, b = at[i], at[i + 1]
         m[a][b] += s
         m[b][a] += s
-        at[i], at[i + 1] = at[i + 1], at[i]
-    return m
+        at[i], at[i + 1] = b, a
+    ends = [0] * n
+    for pos, strand in enumerate(at):
+        ends[strand] = pos
+    return m, ends
+
+
+def crossing_counts(n, letters):
+    """The counts of strand_walk alone."""
+    return strand_walk(n, letters)[0]

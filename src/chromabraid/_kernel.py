@@ -1,8 +1,8 @@
 """Checked entry points to the Garside kernel in _garside_py.
 
 The kernel does not check its letters: unchecked, it reads letter 0 as
-generator index -1 and returns (1, []) for (0,) on n=3.  Both entry points
-therefore reject letters outside 0 < |k| < n, and strand counts above
+generator index -1 and returns (1, []) for (0,) on n=3.  Every entry point
+therefore rejects letters outside 0 < |k| < n, and strand counts above
 MAX_STRANDS, here, before the kernel runs.
 """
 
@@ -51,3 +51,4 @@ def _validated(kernel_fn):
 
 left_normal_form = _validated(_impl.left_normal_form)
 crossing_counts = _validated(_impl.crossing_counts)
+strand_walk = _validated(_impl.strand_walk)

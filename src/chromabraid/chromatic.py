@@ -24,9 +24,11 @@ cancel, so
     C(w section(g)^-1) = C(w) - C(section(g))
 
 and i_star reads the edge vector from the halved edge entries of that
-difference: one crossing count over w, with no pure word built.  On a cycle
-graph the section's counts come from dihedral_lift_counts, cached per
-dihedral element.
+difference, with no pure word built.  One strand walk over w (the kernel's
+strand_walk) gives both C(w) and the end positions that phi turns into the
+checked automorphism g; edge_lk reads its purity test and its counts from
+one walk the same way.  On a cycle graph the section's counts come from
+dihedral_lift_counts, cached per dihedral element.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from ._kernel import crossing_counts
+from ._kernel import crossing_counts, strand_walk
 from .errors import (
     GraphInputError,
     NotAutomorphismError,
@@ -56,9 +58,7 @@ from .words import (
     BraidWord,
     Permutation,
     concat,
-    crossing_matrix,
     e_word,
-    perm_of,
     power,
     psi_a_word,
     psi_b_word,
@@ -152,13 +152,14 @@ def edge_lk(w: BraidWord, G: SimpleGraph) -> EdgeVector:
     Pure words cross every pair of strands an even number of times, so the
     halves are integers; they are invariant under braid relations and under
     removing transient (non-edge) twists, which makes the vector a complete
-    abelian invariant of the pure conditioned group.
+    abelian invariant of the pure conditioned group.  One strand walk gives
+    both the purity test and the counts.
     """
     _check_strands(w, G)
-    if not perm_of(w).is_identity():
+    m, ends = strand_walk(w.strands, w.letters)
+    if ends != list(range(w.strands)):
         raise NotPureError("edge_lk needs a pure word")
-    m = crossing_matrix(w)
-    return halved_counts(G, (m.entry(i, j) for i, j in G.edges_sorted()))
+    return halved_counts(G, (m[i - 1][j - 1] for i, j in G.edges_sorted()))
 
 
 def halved_counts(G: SimpleGraph, counts) -> EdgeVector:
@@ -172,10 +173,17 @@ def halved_counts(G: SimpleGraph, counts) -> EdgeVector:
     return EdgeVector(G, tuple(coords))
 
 
-def phi(w: BraidWord, G: SimpleGraph) -> Permutation:
-    """Underlying permutation, verified to be a graph automorphism."""
+def phi(w: BraidWord, G: SimpleGraph, ends=None) -> Permutation:
+    """Underlying permutation, verified to be a graph automorphism.
+
+    ends[p] is the end position of strand p, 0-based, as the kernel's
+    strand_walk over w returns it; a caller that walked w already passes it,
+    and otherwise phi walks w itself.
+    """
     _check_strands(w, G)
-    g = perm_of(w)
+    if ends is None:
+        ends = strand_walk(w.strands, w.letters)[1]
+    g = Permutation(tuple(p + 1 for p in ends))
     if not is_automorphism(G, g):
         raise NotAutomorphismError(
             f"permutation {g.one_line()} is not an automorphism of the graph"
@@ -233,12 +241,14 @@ def section(g: Permutation, G: SimpleGraph) -> BraidWord:
 
 
 def i_star(w: BraidWord, G: SimpleGraph) -> ChromaticElement:
-    """Normal form (edge vector, automorphism) of a word in B(G)."""
+    """Normal form (edge vector, automorphism) of a word in B(G), from one
+    strand walk over w."""
     _check_strands(w, G)
     if not is_triangle_free(G):
         raise OutOfScopeError("i_star needs a triangle-free graph")
-    g = phi(w, G)
     n = G.vertices
+    m, ends = strand_walk(n, w.letters)
+    g = phi(w, G, ends)
     edges = _edge_index(G)
     if _is_cycle(G):
         lift = dihedral_lift_counts(DihedralElement.from_perm(n, g))
@@ -246,7 +256,6 @@ def i_star(w: BraidWord, G: SimpleGraph) -> ChromaticElement:
         s = crossing_counts(n, section(g, G).letters)
         lift = tuple(s[i - 1][j - 1] for i, j in edges)
     # C(w section(g)^-1) = C(w) - C(section(g)), see the module docstring
-    m = crossing_counts(n, w.letters)
     counts = (m[i - 1][j - 1] - c for (i, j), c in zip(edges, lift))
     return ChromaticElement(halved_counts(G, counts), g)
 

@@ -3,6 +3,10 @@
 Every check renders as exactly four whitespace-free fields:
 
     RELATION-ID PASS|FAIL lhs rhs
+
+Every suite builds its lines through one loop, Report.comparing: each
+distinct side of a report is formed once, and the form of a passing line is
+rendered once, since both sides render alike.
 """
 
 from __future__ import annotations
@@ -27,8 +31,13 @@ class CheckLine:
 
     @classmethod
     def comparing(cls, check_id: str, lhs, rhs) -> CheckLine:
-        """The check that two normal forms agree, showing both."""
-        return cls(check_id, lhs == rhs, str(lhs), str(rhs))
+        """The check that two normal forms agree, showing both.  A form's
+        rendering is a function of its fields, so equal forms are rendered
+        once."""
+        text = str(lhs)
+        if lhs == rhs:
+            return cls(check_id, True, text, text)
+        return cls(check_id, False, text, str(rhs))
 
     def render(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"
@@ -40,16 +49,19 @@ class Report:
     lines: tuple[CheckLine, ...]
 
     @classmethod
-    def substituting(cls, relations, table, n: int, form) -> Report:
-        """One check per (check id, lhs, rhs) relation: both sides substituted
-        through the generator table as words on n strands, then compared by
+    def comparing(cls, checks, form) -> Report:
+        """One line per (check id, lhs, rhs) check, its two sides compared by
         their form; a side that recurs, such as the empty right side of
         every relator check, is formed once."""
-        @cache
-        def side(rel):
-            return form(substitute(rel, table, n))
+        form = cache(form)
         return cls(tuple(
-            CheckLine.comparing(cid, side(lhs), side(rhs)) for cid, lhs, rhs in relations))
+            CheckLine.comparing(cid, form(lhs), form(rhs)) for cid, lhs, rhs in checks))
+
+    @classmethod
+    def substituting(cls, relations, table, n: int, form) -> Report:
+        """The checks of (check id, lhs, rhs) relations, both sides
+        substituted through the generator table as words on n strands."""
+        return cls.comparing(relations, lambda rel: form(substitute(rel, table, n)))
 
     @property
     def all_passed(self) -> bool:

@@ -2,16 +2,20 @@
 on, checked against the equality oracles and rendered as report lines.
 
 These functions power both the verify-paper CLI command and the acceptance
-tests, so their check IDs are stable identifiers.
+tests, so their check IDs are stable identifiers.  Each suite forms every
+distinct side once (Report.comparing).  full_paper_report predicts its line
+count in closed form (report_line_count) and refuses a max_n above
+MAX_REPORT_LINES before building any check.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
+from math import comb
 
 from .chromatic import normal_form_in_BGamma
-from .errors import IndexRangeError
+from .errors import IndexRangeError, ResourceLimitError
 from .extension import verify_final_proposition
 from .garside import normal_form
 from .graphs import SimpleGraph, complete, cycle, path
@@ -22,12 +26,43 @@ from .presentations import (
     markoff_presentation,
     pure_chromatic_presentation,
 )
-from .report import CheckLine, Report
-from .words import BraidWord, a_word, concat, e_word, psi_r
+from .report import Report
+from .words import BraidWord, a_word, e_word, psi_r
+
+# The most lines full_paper_report builds.  The count grows about as
+# max_n^5 / 120, from identity (3): --max-n 12 gives 3,991 lines, 20 gives
+# 35,925 (4.3 MB of output, 2.4 s on a 2-CPU VM), and 21 is the largest
+# max_n admitted.
+MAX_REPORT_LINES = 50_000
 
 
-def _bn_check(check_id: str, lhs: BraidWord, rhs: BraidWord) -> CheckLine:
-    return CheckLine.comparing(check_id, normal_form(lhs), normal_form(rhs))
+def _lemma_checks(n: int):
+    """(check id, lhs letters, rhs letters) of the five identities on n
+    strands; each a_word's letters are built once and concatenated."""
+    a = {(i, j): a_word(i, j, n).letters
+         for i, j in combinations_with_replacement(range(1, n + 1), 2)}
+    for i in range(1, n - 1):
+        yield f"L1-n{n}-i{i}", (i + 1, i, i + 1, i + 1), (i, i, i + 1, i)
+    for i, k, j in combinations(range(1, n + 1), 3):
+        yield f"L2-n{n}-a{i}_{j}-k{k}", a[i, j] + (k,), (k - 1,) + a[i, j]
+    for i in range(1, n + 1):
+        for k in range(i + 1, n + 1):
+            for l in range(k + 1, n + 1):
+                for j in range(l, n + 1):
+                    yield (f"L3-n{n}-a{i}_{j}-a{k}_{l}",
+                           a[i, j] + a[k, l], a[k - 1, l - 1] + a[i, j])
+    factors = [(k, n + 2 - k) for k in range(2, psi_r(n) + 1)]
+    e = {f: e_word(*f, n).letters for f in factors}
+    for (k1, l1), (k2, l2) in combinations(factors, 2):
+        u, v = e[k1, l1], e[k2, l2]
+        yield f"L4-n{n}-e{k1}_{l1}-e{k2}_{l2}", u + v, v + u
+    for k in range(3, (n + 1) // 2 + 1):
+        yield (f"L5-n{n}-k{k}", e_word(k, n + 2 - k, n).letters + a[1, n],
+               a[1, n] + e_word(k + 1, n + 3 - k, n).letters)
+
+
+def _bn_form(n: int, letters: tuple[int, ...]):
+    return normal_form(BraidWord(n, letters))
 
 
 def lemma_report(ns) -> Report:
@@ -38,33 +73,14 @@ def lemma_report(ns) -> Report:
     (3) a_{i,j} a_{k,l} = a_{k-1,l-1} a_{i,j}            for i < k < l <= j
     (4) the reflection factors e_{k,n+2-k} commute pairwise
     (5) e_{k,n+2-k} a_{1,n} = a_{1,n} e_{k+1,n+3-k}      for 2 < k <= (n+1)//2
+
+    Each side is a validated BraidWord, and each distinct side on n strands
+    is formed once.
     """
-    lines = []
+    report = Report(())
     for n in ns:
-        for i in range(1, n - 1):
-            lhs = BraidWord(n, (i + 1, i, i + 1, i + 1))
-            rhs = BraidWord(n, (i, i, i + 1, i))
-            lines.append(_bn_check(f"L1-n{n}-i{i}", lhs, rhs))
-        for i, k, j in combinations(range(1, n + 1), 3):
-            lhs = concat(a_word(i, j, n), BraidWord(n, (k,)))
-            rhs = concat(BraidWord(n, (k - 1,)), a_word(i, j, n))
-            lines.append(_bn_check(f"L2-n{n}-a{i}_{j}-k{k}", lhs, rhs))
-        for i in range(1, n + 1):
-            for k in range(i + 1, n + 1):
-                for l in range(k + 1, n + 1):
-                    for j in range(l, n + 1):
-                        lhs = concat(a_word(i, j, n), a_word(k, l, n))
-                        rhs = concat(a_word(k - 1, l - 1, n), a_word(i, j, n))
-                        lines.append(_bn_check(f"L3-n{n}-a{i}_{j}-a{k}_{l}", lhs, rhs))
-        factors = [(k, n + 2 - k) for k in range(2, psi_r(n) + 1)]
-        for (k1, l1), (k2, l2) in combinations(factors, 2):
-            u, v = e_word(k1, l1, n), e_word(k2, l2, n)
-            lines.append(_bn_check(f"L4-n{n}-e{k1}_{l1}-e{k2}_{l2}", concat(u, v), concat(v, u)))
-        for k in range(3, (n + 1) // 2 + 1):
-            lhs = concat(e_word(k, n + 2 - k, n), a_word(1, n, n))
-            rhs = concat(a_word(1, n, n), e_word(k + 1, n + 3 - k, n))
-            lines.append(_bn_check(f"L5-n{n}-k{k}", lhs, rhs))
-    return Report(tuple(lines))
+        report += Report.comparing(_lemma_checks(n), partial(_bn_form, n))
+    return report
 
 
 def _relator_checks(prefix: str, pres, table, n: int, form) -> Report:
@@ -125,10 +141,50 @@ def standard_graph_suite(max_n: int) -> list[tuple[str, SimpleGraph]]:
     return graphs
 
 
+def _complete_relators(n: int) -> int:
+    """Relators of pure_chromatic_presentation(complete(n)): one per pair of
+    edges, less one per triangle, whose three pairs give two equations."""
+    return comb(comb(n, 2), 2) - comb(n, 3)
+
+
+def report_line_count(max_n: int) -> int:
+    """len(full_paper_report(max_n).lines), in closed form, for max_n >= 4.
+
+    Sums over n use the hockey stick, sum_{n <= N} C(n, k) = C(N + 1, k + 1);
+    the suites capped at a small n are summed term by term.
+    """
+    N, h = max_n, (max_n - 1) // 2
+    lemma = (
+        comb(N - 1, 2) - 1                           # (1): n - 2 per n
+        + 2 * (comb(N + 1, 4) - 1)                   # (2), and (3) with j = l: C(n, 3)
+        + comb(N + 1, 5)                             # (3) with j > l: C(n, 4)
+        + 2 * comb(h + 1, 3) - N % 2 * comb(h, 2)    # (4): C((n - 1) // 2, 2)
+        + (N - 3) ** 2 // 4                          # (5): (n - 3) // 2
+    )
+    artin = comb(min(N, 6), 3)  # C(n - 1, 2) per n from 3
+    markoff = sum(map(_complete_relators, range(3, min(N, 6) + 1)))
+    chromatic = (
+        comb(N + 1, 3) - 4                           # cycle(n), 4 <= n: C(n, 2)
+        + comb(N, 3)                                 # path(n), 2 <= n: C(n - 1, 2)
+        + 6 * (N >= 5)                               # star5: C(4, 2)
+        + sum(map(_complete_relators, range(3, min(N, 5) + 1)))
+    )
+    final = sum(comb(n, 2) + 2 * n + 3 for n in range(4, min(N, 12) + 1))
+    return lemma + artin + markoff + chromatic + final
+
+
 def full_paper_report(max_n: int = 9) -> Report:
-    """Aggregate suite run by the verify-paper command."""
+    """Aggregate suite run by the verify-paper command.  A max_n whose
+    report_line_count exceeds MAX_REPORT_LINES is refused before any check
+    is built."""
     if max_n < 4:
         raise IndexRangeError(f"verify-paper needs max_n >= 4, got {max_n}")
+    lines = report_line_count(max_n)
+    if lines > MAX_REPORT_LINES:
+        raise ResourceLimitError(
+            f"verify-paper --max-n {max_n} would print {lines} lines,"
+            f" above the limit of {MAX_REPORT_LINES}"
+        )
     report = lemma_report(range(4, max_n + 1))
     report += artin_soundness_report(range(3, min(max_n, 6) + 1))
     report += markoff_soundness_report(range(3, min(max_n, 6) + 1))

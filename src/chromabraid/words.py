@@ -276,9 +276,6 @@ class CrossingMatrix:
 
     rows: tuple[tuple[int, ...], ...]
 
-    def entry(self, p: int, q: int) -> int:
-        return self.rows[p - 1][q - 1]
-
 
 def crossing_matrix(w: BraidWord) -> CrossingMatrix:
     counts = crossing_counts(w.strands, w.letters)

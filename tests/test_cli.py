@@ -12,6 +12,7 @@ from chromabraid.cli import main, parse_graph_spec, read_graph_file
 from chromabraid.errors import GraphInputError, ResourceLimitError
 from chromabraid.garside import normal_form
 from chromabraid.graphs import cycle, from_edge_list
+from chromabraid.verify import MAX_REPORT_LINES, report_line_count
 from chromabraid.words import BraidWord, parse_word
 
 
@@ -324,6 +325,15 @@ class TestVerifyPaper:
         code1, out1, err1 = run(capsys, "verify-paper", "--max-n", "4")
         code2, out2, err2 = run(capsys, "verify-paper", "--max-n", "4")
         assert (code1, out1, err1) == (code2, out2, err2)
+
+    def test_size_limit(self, capsys):
+        # the smallest max_n over the line limit: exit 2, one error line
+        max_n = next(m for m in range(4, 100) if report_line_count(m) > MAX_REPORT_LINES)
+        code, out, err = run(capsys, "verify-paper", "--max-n", str(max_n))
+        assert (code, out) == (2, "")
+        lines = report_line_count(max_n)
+        assert err == (f"error: verify-paper --max-n {max_n} would print {lines} lines,"
+                       f" above the limit of {MAX_REPORT_LINES}\n")
 
 
 class TestMainProperty:

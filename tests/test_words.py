@@ -273,16 +273,16 @@ class TestCrossingMatrix:
 
     def test_sign(self):
         m = crossing_matrix(BraidWord(3, (-2,)))
-        assert m.entry(2, 3) == -1
-        assert m.entry(1, 2) == 0
+        assert m.rows[1][2] == -1
+        assert m.rows[0][1] == 0
 
     def test_labels_follow_strands(self):
         # sigma_1 sigma_1: strands 1 and 2 cross twice; sigma_1 sigma_2:
         # the second letter crosses strand 1 (now at position 2) with strand 3
         m = crossing_matrix(BraidWord(3, (1, 2)))
-        assert m.entry(1, 2) == 1
-        assert m.entry(1, 3) == 1
-        assert m.entry(2, 3) == 0
+        assert m.rows[0][1] == 1
+        assert m.rows[0][2] == 1
+        assert m.rows[1][2] == 0
 
     def test_additivity_with_relabeling(self):
         rng = random.Random(14)
@@ -294,7 +294,7 @@ class TestCrossingMatrix:
             g = perm_of(u).apply
             mu, mv = crossing_matrix(u), crossing_matrix(v)
             expect = tuple(
-                tuple(mu.entry(p, q) + mv.entry(g(p), g(q)) for q in range(1, n + 1))
+                tuple(mu.rows[p - 1][q - 1] + mv.rows[g(p) - 1][g(q) - 1] for q in range(1, n + 1))
                 for p in range(1, n + 1)
             )
             assert crossing_matrix(concat(u, v)).rows == expect
@@ -305,4 +305,4 @@ class TestCrossingMatrix:
             m = crossing_matrix(rand_word(rng, 6, 20))
             for p in range(1, 7):
                 for q in range(1, 7):
-                    assert m.entry(p, q) == m.entry(q, p)
+                    assert m.rows[p - 1][q - 1] == m.rows[q - 1][p - 1]
