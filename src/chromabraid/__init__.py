@@ -12,9 +12,12 @@ The unbounded caches are keyed by a strand count n, by n and a letter, or by
 an element of the dihedral group D_n (compute_cocycle, cycle,
 dihedral_lift_counts and private tables in graphs, extension and lkrep), so
 they hold a fixed amount per n and the range of strand counts a process uses
-bounds them; _kernel._alphabet keeps 64 strand counts.  The three caches keyed by a graph
-(graphs._automorphisms, graphs.is_triangle_free and chromatic._edge_index)
-keep the graphs._GRAPH_CACHE_SIZE most recently used graphs.
+bounds them; _kernel._alphabet keeps 64 strand counts.  The largest per n
+are compute_cocycle and the product table mul and inv read, keyed by n: 4n^2
+entries of n coordinates each, refused above extension.MAX_CYCLE_ORDER.
+The three caches keyed by a graph (graphs._automorphisms,
+graphs.is_triangle_free and chromatic._edge_index) keep the
+graphs._GRAPH_CACHE_SIZE most recently used graphs.
 """
 
 from ._kernel import KERNEL

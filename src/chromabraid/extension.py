@@ -22,9 +22,13 @@ acting on edge entries as g |> -,
 
     c(g, h) = (a_g + g |> a_h - a_gh) / 2,
 
-so no word is built per pair; to_element is i_star over cycle(n), which
-reads its vector as (C(w) - a_g) / 2 on the edges; and g |> v is a gather
-through the edge-index table of g.
+so no word is built per pair, and to_element is i_star over cycle(n), which
+reads its vector as (C(w) - a_g) / 2 on the edges.  mul and inv are one
+product-table lookup per call: the table of cycle(n), built on their first
+call over it, holds for each dihedral pair (g, h) the edge-index table of g
+(so g |> v is a gather), the coordinates of c(g, h) and the permutation gh.
+compute_cocycle, and with it the table, is refused above MAX_CYCLE_ORDER,
+since it holds 4n^2 vectors of n coordinates.
 """
 
 from __future__ import annotations
@@ -40,11 +44,16 @@ from .chromatic import (
     halved_counts,
     i_star,
 )
-from .errors import IndexRangeError, NotAutomorphismError, StrandMismatchError
+from .errors import IndexRangeError, ResourceLimitError, StrandMismatchError
 from .graphs import DihedralElement, cycle
 from .presentations import band_table, cyclic_relations, psi_name
 from .report import Report
-from .words import BraidWord, Permutation, psi_a_word, psi_b_word
+from .words import BraidWord, psi_a_word, psi_b_word
+
+# compute_cocycle(n) and the product table hold 4n^2 entries of n coordinates
+# for every n they are built for: 2.7 MB and 0.3 s to build at n = 32 (CPython
+# 3.11 on a Xeon), growing as n^3, so larger orders are refused.
+MAX_CYCLE_ORDER = 32
 
 
 @lru_cache(maxsize=None)
@@ -63,17 +72,6 @@ def _pullbacks(n: int) -> dict[tuple[int, ...], tuple[int, ...]]:
     return table
 
 
-def _act(g: Permutation, v: EdgeVector) -> EdgeVector:
-    """The twisting action g |> v over cycle(n): pull-back along g."""
-    src = _pullbacks(v.graph.vertices).get(g.image)
-    if src is None:
-        raise NotAutomorphismError(
-            f"permutation {g.one_line()} is not an automorphism of the graph"
-        )
-    coords = v.coords
-    return EdgeVector(v.graph, tuple(coords[k] for k in src))
-
-
 @lru_cache(maxsize=None)
 def compute_cocycle(n: int) -> Mapping[tuple[DihedralElement, DihedralElement], EdgeVector]:
     """c(g, h) = edge_lk(psi(g) psi(h) psi(gh)^-1) over all dihedral pairs,
@@ -81,10 +79,16 @@ def compute_cocycle(n: int) -> Mapping[tuple[DihedralElement, DihedralElement], 
 
     The cached table is shared by every caller, so it is returned as a
     read-only view: a write raises TypeError instead of corrupting every
-    later mul and inv.
+    later mul and inv.  n above MAX_CYCLE_ORDER is refused before anything
+    is built.
     """
     if n < 4:
         raise IndexRangeError(f"compute_cocycle needs n >= 4, got {n}")
+    if n > MAX_CYCLE_ORDER:
+        raise ResourceLimitError(
+            f"the cocycle of cycle({n}) would hold {4 * n * n} vectors of {n}"
+            f" coordinates, above the limit of n = {MAX_CYCLE_ORDER}"
+        )
     G = cycle(n)
     elements = DihedralElement.all_elements(n)
     lifts = {d: dihedral_lift_counts(d) for d in elements}
@@ -109,20 +113,57 @@ def _order(*xs: ChromaticElement) -> int:
     return n
 
 
+@lru_cache(maxsize=None)
+def _product_table(n: int) -> tuple[dict, dict]:
+    """mul's and inv's lookups over cycle(n), keyed by the permutations' images,
+    built on their first call over cycle(n).
+
+    products[g, h] = (g's edge-index table, the coordinates of c(g, h), gh)
+    inverses[g] = (g^-1's edge-index table, the coordinates of c(g, g^-1), g^-1)
+    """
+    cocycle, pullbacks = compute_cocycle(n), _pullbacks(n)
+    perm = {d: d.to_perm() for d in DihedralElement.all_elements(n)}
+    products, inverses = {}, {}
+    for g, pg in perm.items():
+        src = pullbacks[pg.image]
+        for h, ph in perm.items():
+            products[pg.image, ph.image] = (src, cocycle[g, h].coords, perm[g * h])
+        g_inv = g.inverse()
+        inverses[pg.image] = (
+            pullbacks[perm[g_inv].image], cocycle[g, g_inv].coords, perm[g_inv]
+        )
+    return products, inverses
+
+
+def _not_dihedral(n: int, *xs: ChromaticElement):
+    """Raise from_perm's IndexRangeError for the first operand whose
+    automorphism is not dihedral: the one way to miss the product table."""
+    for x in xs:
+        DihedralElement.from_perm(n, x.aut)
+    raise AssertionError("the product table misses a dihedral pair")
+
+
 def mul(x: ChromaticElement, y: ChromaticElement) -> ChromaticElement:
     n = _order(x, y)
-    g, h = DihedralElement.from_perm(n, x.aut), DihedralElement.from_perm(n, y.aut)
-    c = compute_cocycle(n)[g, h]
-    return ChromaticElement(x.vector + _act(x.aut, y.vector) + c, x.aut * y.aut)
+    try:
+        src, c, gh = _product_table(n)[0][x.aut.image, y.aut.image]
+    except KeyError:
+        _not_dihedral(n, x, y)
+    v, w = x.vector.coords, y.vector.coords
+    coords = tuple([a + w[k] + b for a, k, b in zip(v, src, c)])
+    return ChromaticElement(EdgeVector(x.vector.graph, coords), gh)
 
 
 def inv(x: ChromaticElement) -> ChromaticElement:
     n = _order(x)
-    g = DihedralElement.from_perm(n, x.aut)
-    c = compute_cocycle(n)[g, g.inverse()]
-    # solve (v, g)(v', g^-1) = (0, e): v + g |> v' + c = 0
-    g_inv = x.aut.inverse()
-    return ChromaticElement(_act(g_inv, -(x.vector + c)), g_inv)
+    try:
+        src, c, g_inv = _product_table(n)[1][x.aut.image]
+    except KeyError:
+        _not_dihedral(n, x)
+    # solve (v, g)(v', g^-1) = (0, e): v' = g^-1 |> -(v + c)
+    v = x.vector.coords
+    coords = tuple([-(v[k] + c[k]) for k in src])
+    return ChromaticElement(EdgeVector(x.vector.graph, coords), g_inv)
 
 
 def to_element(w: BraidWord, n: int) -> ChromaticElement:

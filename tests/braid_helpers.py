@@ -1,9 +1,13 @@
-"""Structural checks on normal forms, transpositions, and the reference
-enumeration of Markoff's presentation, shared by the test modules."""
+"""Structural checks on normal forms, transpositions, the reference
+enumeration of Markoff's presentation and the reference edge action, shared
+by the test modules."""
 
 from itertools import combinations
 
+from chromabraid.chromatic import EdgeVector
+from chromabraid.errors import NotAutomorphismError
 from chromabraid.garside import NormalForm
+from chromabraid.graphs import is_automorphism
 from chromabraid.presentations import (
     Presentation,
     commutator,
@@ -87,3 +91,18 @@ def markoff_reference(n: int) -> Presentation:
         relators.append(equation_relator(lhs, rhs))
     gens = tuple(edge_generator_name(i, j) for i, j in combinations(vertices, 2))
     return Presentation(gens, tuple(relators))
+
+
+def act(g: Permutation, v: EdgeVector) -> EdgeVector:
+    """The twisting action g |> v of the extension layer, read edge by edge:
+    the pull-back (g |> v)[e] = v[g(e)] along an automorphism g of v's graph.
+    The reference that extension.mul and inv are checked against."""
+    G = v.graph
+    if not is_automorphism(G, g):
+        raise NotAutomorphismError(f"{g.one_line()} is not an automorphism of the graph")
+    edges = G.edges_sorted()
+    index = {e: k for k, e in enumerate(edges)}
+    image = (0,) + g.image
+    return EdgeVector(
+        G, tuple(v.coords[index[tuple(sorted((image[i], image[j])))]] for i, j in edges)
+    )

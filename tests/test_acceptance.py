@@ -19,7 +19,6 @@ from chromabraid.chromatic import (
     zero_vector,
 )
 from chromabraid.extension import (
-    _act,
     compute_cocycle,
     inv,
     mul,
@@ -56,7 +55,7 @@ from chromabraid.words import (
     s_word,
 )
 
-from braid_helpers import markoff_reference
+from braid_helpers import act, markoff_reference
 
 
 def star5():
@@ -334,7 +333,7 @@ def test_criterion_9_extension_model(record_criterion):
                 c12 = c[g1, g2]
                 g12 = g1 * g2
                 for g3 in elements:
-                    lhs = _act(g1.to_perm(), c[g2, g3]) + c[g1, g2 * g3]
+                    lhs = act(g1.to_perm(), c[g2, g3]) + c[g1, g2 * g3]
                     rhs = c12 + c[g12, g3]
                     if lhs != rhs:
                         ok = False

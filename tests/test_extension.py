@@ -3,6 +3,7 @@
 import hashlib
 import random
 import re
+import time
 from itertools import product
 
 import pytest
@@ -15,9 +16,9 @@ from chromabraid.chromatic import (
     unit_vector,
     zero_vector,
 )
-from chromabraid.errors import IndexRangeError, StrandMismatchError
+from chromabraid.errors import IndexRangeError, ResourceLimitError, StrandMismatchError
 from chromabraid.extension import (
-    _act,
+    MAX_CYCLE_ORDER,
     compute_cocycle,
     inv,
     mul,
@@ -40,6 +41,8 @@ from chromabraid.words import (
     psi_b_word,
     s_word,
 )
+
+from braid_helpers import act
 
 
 def small_elements(n, rng, count):
@@ -107,7 +110,7 @@ class TestCocycle:
             c = compute_cocycle(n)
             elements = DihedralElement.all_elements(n)
             for g1, g2, g3 in product(elements, repeat=3):
-                lhs = _act(g1.to_perm(), c[g2, g3]) + c[g1, g2 * g3]
+                lhs = act(g1.to_perm(), c[g2, g3]) + c[g1, g2 * g3]
                 rhs = c[g1, g2] + c[g1 * g2, g3]
                 assert lhs == rhs
 
@@ -196,6 +199,69 @@ class TestGroupLaws:
     def test_vector_graph_validation(self):
         with pytest.raises(StrandMismatchError):
             ChromaticElement(zero_vector(cycle(5)), Permutation.identity(4))
+
+
+class TestProductTable:
+    """mul and inv read one table per n; every result equals the twisted
+    product built from the reference action and the cocycle."""
+
+    @pytest.mark.parametrize("n", [*range(4, 13), 16])
+    def test_matches_reference(self, n):
+        G = cycle(n)
+        c = compute_cocycle(n)
+        rng = random.Random(n)
+        elements = DihedralElement.all_elements(n)
+        for g, h in product(elements, repeat=2):
+            pg, ph = g.to_perm(), h.to_perm()
+            v = EdgeVector(G, tuple(rng.randint(-3, 3) for _ in range(n)))
+            w = EdgeVector(G, tuple(rng.randint(-3, 3) for _ in range(n)))
+            x, y = ChromaticElement(v, pg), ChromaticElement(w, ph)
+            assert mul(x, y) == ChromaticElement(v + act(pg, w) + c[g, h], pg * ph), (g, h)
+        for g in elements:
+            pg, g_inv = g.to_perm(), g.to_perm().inverse()
+            v = EdgeVector(G, tuple(rng.randint(-3, 3) for _ in range(n)))
+            expected = ChromaticElement(act(g_inv, -(v + c[g, g.inverse()])), g_inv)
+            assert inv(ChromaticElement(v, pg)) == expected, g
+
+    def test_cocycle_not_read_per_call(self):
+        x, y = to_element(psi_a_word(7), 7), to_element(psi_b_word(7), 7)
+        mul(x, y)
+        hits = compute_cocycle.cache_info().hits
+        for _ in range(5):
+            mul(x, inv(y))
+        assert compute_cocycle.cache_info().hits == hits
+
+    def test_miss_raises_from_perm_error(self):
+        # only an element that skipped validation can miss the table
+        x = identity(5)
+        forged = object.__new__(ChromaticElement)
+        object.__setattr__(forged, "vector", x.vector)
+        object.__setattr__(forged, "aut", Permutation((2, 1, 3, 4, 5)))
+        with pytest.raises(IndexRangeError) as expected:
+            DihedralElement.from_perm(5, forged.aut)
+        for call in (lambda: mul(forged, x), lambda: mul(x, forged), lambda: inv(forged)):
+            with pytest.raises(IndexRangeError) as raised:
+                call()
+            assert str(raised.value) == str(expected.value)
+
+
+class TestCycleOrderLimit:
+    def test_covers_every_size_in_use(self):
+        # verify-paper and the benchmark go up to 12, the tests up to 16
+        assert MAX_CYCLE_ORDER >= 16
+        with pytest.raises(ResourceLimitError):
+            compute_cocycle(MAX_CYCLE_ORDER + 1)
+
+    def test_large_order_refused_before_building(self):
+        x = ChromaticElement(zero_vector(cycle(1000)), Permutation.identity(1000))
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="4000000 vectors of 1000 coordinates"):
+            compute_cocycle(1000)
+        with pytest.raises(ResourceLimitError):
+            mul(x, x)
+        with pytest.raises(ResourceLimitError):
+            inv(x)
+        assert time.perf_counter() - start < 0.1
 
 
 class TestToElement:

@@ -1,4 +1,5 @@
-"""Property tests: to_element is a homomorphism onto the twisted product, and
+"""Property tests: to_element is a homomorphism onto the twisted product, the
+extension layer answers malformed input only with a ChromabraidError, and
 the Garside normal form is invariant under free cancellation and braid
 relations."""
 
@@ -9,10 +10,21 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
-from chromabraid.extension import inv, mul, to_element  # noqa: E402
+from chromabraid.chromatic import ChromaticElement, EdgeVector  # noqa: E402
+from chromabraid.errors import ChromabraidError  # noqa: E402
+from chromabraid.extension import (  # noqa: E402
+    MAX_CYCLE_ORDER,
+    compute_cocycle,
+    inv,
+    mul,
+    to_element,
+    verify_final_proposition,
+)
 from chromabraid.garside import NormalForm, normal_form  # noqa: E402
+from chromabraid.graphs import DihedralElement, cycle, path  # noqa: E402
 from chromabraid.words import (  # noqa: E402
     BraidWord,
+    Permutation,
     concat,
     inverse,
     psi_a_word,
@@ -115,3 +127,58 @@ def test_far_commutation_rewrite(case, data):
     assert normal_form(BraidWord(n, prefix + (a, b) + suffix)) == normal_form(
         BraidWord(n, prefix + (b, a) + suffix)
     )
+
+
+# strand counts -1..16 and orders above the cycle-order limit
+orders = st.one_of(
+    st.integers(-1, 16), st.sampled_from((MAX_CYCLE_ORDER + 1, 40, 1000))
+)
+
+
+@st.composite
+def operands(draw):
+    """Elements over a cycle (its dihedral group acting, an order above the
+    limit included) or over a path (the identity or the reversal)."""
+    if draw(st.booleans()):
+        n = draw(st.one_of(st.integers(3, 16), st.just(MAX_CYCLE_ORDER + 1)))
+        G = cycle(n)
+        aut = draw(st.sampled_from(DihedralElement.all_elements(n))).to_perm()
+    else:
+        n = draw(st.integers(1, 16))
+        G = path(n)
+        reversed_ = draw(st.booleans())
+        aut = Permutation(tuple(range(n, 0, -1)) if reversed_ else tuple(range(1, n + 1)))
+    coords = draw(st.lists(st.integers(-3, 3), min_size=len(G.edges), max_size=len(G.edges)))
+    return ChromaticElement(EdgeVector(G, tuple(coords)), aut)
+
+
+@st.composite
+def words_and_orders(draw):
+    """A word on 1..16 strands and an order that may not match it."""
+    k = draw(st.integers(1, 16))
+    w = BraidWord(k, draw(signed_letters(k, 6))) if k > 1 else BraidWord(k)
+    return w, draw(st.one_of(orders, st.just(k)))
+
+
+@given(
+    st.sampled_from(("to_element", "mul", "inv", "compute_cocycle", "verify")),
+    words_and_orders(),
+    operands(),
+    operands(),
+    orders,
+)
+def test_extension_errors_are_domain_errors(call, word_order, x, y, n):
+    # malformed input returns or raises a ChromabraidError: never a
+    # KeyError, IndexError or TypeError from a table miss or a bad size
+    w, k = word_order
+    calls = {
+        "to_element": lambda: to_element(w, k),
+        "mul": lambda: mul(x, y),
+        "inv": lambda: inv(x),
+        "compute_cocycle": lambda: compute_cocycle(n),
+        "verify": lambda: verify_final_proposition(n),
+    }
+    try:
+        calls[call]()
+    except ChromabraidError:
+        pass
