@@ -8,16 +8,26 @@ cycle-conditioned group with its dihedral quotient.
 The hot kernels (normal-form sliding, crossing simulation) are pure
 Python, in chromabraid._garside_py; chromabraid.KERNEL is always "pure".
 
-The unbounded caches are keyed by a strand count n, by n and a letter, or by
-an element of the dihedral group D_n (compute_cocycle, cycle,
-dihedral_lift_counts and private tables in graphs, extension and lkrep), so
-they hold a fixed amount per n and the range of strand counts a process uses
-bounds them; _kernel._alphabet keeps 64 strand counts.  The largest per n
-are compute_cocycle and the product table mul and inv read, keyed by n: 4n^2
-entries of n coordinates each, refused above extension.MAX_CYCLE_ORDER.
-The three caches keyed by a graph (graphs._automorphisms,
-graphs.is_triangle_free and chromatic._edge_index) keep the
-graphs._GRAPH_CACHE_SIZE most recently used graphs.
+Every cache in the package, with its key and its bound:
+
+- _kernel._alphabet: key n; bound 64 (LRU).
+- chromatic._edge_index: key a graph; bound graphs._GRAPH_CACHE_SIZE (LRU).
+- chromatic.dihedral_lift_counts: key an element of D_n; bound 2n entries per n.
+- extension.compute_cocycle: key n; bound one table per n up to MAX_CYCLE_ORDER.
+- extension._product_table: key n; bound one table per n up to MAX_CYCLE_ORDER.
+- graphs.cycle: key n; bound one graph per n.
+- graphs.is_triangle_free: key a graph; bound _GRAPH_CACHE_SIZE (LRU).
+- graphs._dihedral_perms: key n; bound one tuple of 2n permutations per n.
+- graphs._perm_table: key n; bound one dict of 2n elements per n.
+- lkrep._column_rules: key (n, letter); bound 2n - 2 entries per n.
+- lkrep._column_values: key (n, letter); bound 2n - 2 entries per n.
+
+The caches bounded per n hold a fixed amount for each strand count, so the
+range of strand counts a process uses bounds them (_kernel.MAX_STRANDS caps
+n).  The largest per n are compute_cocycle and the product table mul and inv
+read: 4n^2 entries of n coordinates each, refused above
+extension.MAX_CYCLE_ORDER.  The graph-keyed caches keep the most recently used
+graphs, since their keys are whatever graphs a caller builds.
 """
 
 from ._kernel import KERNEL

@@ -40,6 +40,7 @@ from types import MappingProxyType
 from .chromatic import (
     ChromaticElement,
     EdgeVector,
+    _edge_index,
     dihedral_lift_counts,
     halved_counts,
     i_star,
@@ -56,18 +57,16 @@ from .words import BraidWord, psi_a_word, psi_b_word
 MAX_CYCLE_ORDER = 32
 
 
-@lru_cache(maxsize=None)
 def _pullbacks(n: int) -> dict[tuple[int, ...], tuple[int, ...]]:
     """Per dihedral permutation g of cycle(n), keyed by its image: the index
     of the edge g(e) for each edge e in sorted order."""
-    edges = cycle(n).edges_sorted()
-    index = {e: k for k, e in enumerate(edges)}
+    index = _edge_index(cycle(n))
     table = {}
     for d in DihedralElement.all_elements(n):
         g = d.to_perm()
         image = (0,) + g.image
         table[g.image] = tuple(
-            index[min(image[i], image[j]), max(image[i], image[j])] for i, j in edges
+            index[min(image[i], image[j]), max(image[i], image[j])] for i, j in index
         )
     return table
 

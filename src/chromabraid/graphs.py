@@ -12,10 +12,10 @@ from ._kernel import check_strands
 from .errors import AutBoundError, GraphInputError, IndexRangeError
 from .words import Permutation
 
-# Caches keyed by a graph keep this many most recently used graphs: their keys
-# are whatever graphs a library caller builds, so unlike the caches keyed by a
-# strand count they are not bounded by the strand range.  verify-paper's
-# standard suite uses 24 graphs.
+# The two caches keyed by a graph, is_triangle_free and chromatic._edge_index,
+# keep this many most recently used graphs: their keys are whatever graphs a
+# library caller builds, so unlike the caches keyed by a strand count they are
+# not bounded by the strand range.  verify-paper's standard suite uses 24 graphs.
 _GRAPH_CACHE_SIZE = 64
 
 
@@ -31,7 +31,10 @@ class SimpleGraph:
         if n < 0:
             raise GraphInputError(f"vertex count must be >= 0, got {n}")
         check_strands(n)
-        for i, j in self.edges:
+        for e in self.edges:
+            if not (isinstance(e, tuple) and len(e) == 2 and all(isinstance(v, int) for v in e)):
+                raise GraphInputError(f"edge {e!r} is not a pair of integers")
+            i, j = e
             if i == j:
                 raise GraphInputError(f"loop edge at vertex {i}")
             if not (1 <= i <= n and 1 <= j <= n):
@@ -122,10 +125,17 @@ def is_automorphism(G: SimpleGraph, g: Permutation) -> bool:
     return True
 
 
-@lru_cache(maxsize=_GRAPH_CACHE_SIZE)
-def _automorphisms(G: SimpleGraph) -> tuple[Permutation, ...]:
-    """Aut(G) in one-line order, for the last _GRAPH_CACHE_SIZE graphs."""
+def automorphisms(G: SimpleGraph, max_vertices: int = 10) -> list[Permutation]:
+    """All automorphisms of G by pruned backtracking, sorted by one-line notation.
+
+    Refuses graphs larger than max_vertices since the search is exhaustive;
+    raise the bound explicitly when a larger instance is genuinely wanted.
+    """
     n = G.vertices
+    if n > max_vertices:
+        raise AutBoundError(
+            f"automorphism search on {n} vertices exceeds bound {max_vertices}"
+        )
     deg = [0] + [G.degree(v) for v in range(1, n + 1)]
     adj = [frozenset()] + [G.neighbors(v) for v in range(1, n + 1)]
     found: list[Permutation] = []
@@ -149,20 +159,7 @@ def _automorphisms(G: SimpleGraph) -> tuple[Permutation, ...]:
         image[v] = 0
 
     extend(1)
-    return tuple(sorted(found, key=lambda g: g.image))
-
-
-def automorphisms(G: SimpleGraph, max_vertices: int = 10) -> list[Permutation]:
-    """All automorphisms of G by pruned backtracking, sorted by one-line notation.
-
-    Refuses graphs larger than max_vertices since the search is exhaustive;
-    raise the bound explicitly when a larger instance is genuinely wanted.
-    """
-    if G.vertices > max_vertices:
-        raise AutBoundError(
-            f"automorphism search on {G.vertices} vertices exceeds bound {max_vertices}"
-        )
-    return list(_automorphisms(G))
+    return sorted(found, key=lambda g: g.image)
 
 
 def dihedral_generators(n: int) -> tuple[Permutation, Permutation]:

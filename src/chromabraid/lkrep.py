@@ -60,9 +60,10 @@ callers that want the matrix itself.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations
 from typing import TYPE_CHECKING
 
-from .errors import ResourceLimitError, StrandMismatchError
+from .errors import IndexRangeError, ResourceLimitError, StrandMismatchError
 from .words import BraidWord
 
 if TYPE_CHECKING:
@@ -96,21 +97,11 @@ _MINUS_QINV_MINUS_QINV2 = ((-1, -1, 0), (1, -2, 0))
 
 
 @lru_cache(maxsize=None)
-def _pairs(n: int) -> tuple[tuple[int, int], ...]:
-    return tuple((j, k) for j in range(1, n + 1) for k in range(j + 1, n + 1))
-
-
-@lru_cache(maxsize=None)
-def _pair_index(n: int) -> dict[tuple[int, int], int]:
-    return {pair: idx for idx, pair in enumerate(_pairs(n))}
-
-
-@lru_cache(maxsize=None)
 def _column_rules(n: int, letter: int):
     """Non-identity columns of the matrix of sigma_letter: a list of
     (column index, ((row index, monomials), ...)) entries."""
     i = abs(letter)
-    idx = _pair_index(n)
+    idx = {pair: c for c, pair in enumerate(combinations(range(1, n + 1), 2))}
     rules = []
     for (j, k), c in idx.items():
         if letter > 0:
@@ -257,7 +248,7 @@ def lk_matrix(w: BraidWord, length_budget: int | None = None) -> np.ndarray:
         raise StrandMismatchError("representation needs at least 2 strands")
     budget = max(len(w.letters), 1) if length_budget is None else length_budget
     if budget < len(w.letters):
-        raise ValueError("length budget smaller than the word")
+        raise IndexRangeError(f"length budget {budget} below the word's {len(w.letters)} letters")
     m = n * (n - 1) // 2
     bits, row, step = _layout(budget)
     cols, offsets = _packed_matrix(w, budget)
@@ -319,8 +310,6 @@ def equal_via_representation(u: BraidWord, v: BraidWord) -> bool:
         raise StrandMismatchError(
             f"comparing words on {u.strands} and {v.strands} strands"
         )
-    if u.strands == 1:
-        return True
     if _certificate(u) != _certificate(v):
         return False
     budget = max(len(u.letters), len(v.letters), 1)

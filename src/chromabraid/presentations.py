@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from ._kernel import check_strands
-from .errors import IndexRangeError
+from .errors import IndexRangeError, ParseError
 from .graphs import SimpleGraph, complete, cycle, dihedral_generators
 from .words import BraidWord, psi_r, psi_s, s_word
 
@@ -32,14 +32,14 @@ class Presentation:
 
     def __post_init__(self):
         if len(set(self.generators)) != len(self.generators):
-            raise ValueError("duplicate generator names")
+            raise ParseError("duplicate generator names")
         names = set(self.generators)
         for rel in self.relators:
             for name, exp in rel:
                 if name not in names:
-                    raise ValueError(f"relator uses unknown generator {name!r}")
+                    raise ParseError(f"relator uses unknown generator {name!r}")
                 if exp not in (-1, 1):
-                    raise ValueError(f"token exponent must be +-1, got {exp}")
+                    raise IndexRangeError(f"token exponent must be +-1, got {exp}")
 
 
 def free_reduce_relator(rel) -> Relator:
@@ -270,9 +270,12 @@ def cyclic_braid_presentation(n: int) -> Presentation:
 def substitute(rel, table: dict[str, BraidWord], n: int) -> BraidWord:
     """Evaluate a relator as a braid word through a generator-to-word table."""
     letters: list[int] = []
-    for name, exp in rel:
-        piece = table[name].letters
-        letters.extend(piece if exp > 0 else [-k for k in reversed(piece)])
+    try:
+        for name, exp in rel:
+            piece = table[name].letters
+            letters.extend(piece if exp > 0 else [-k for k in reversed(piece)])
+    except KeyError as missing:
+        raise ParseError(f"relator uses generator {missing.args[0]!r}, not in the table") from None
     return BraidWord(n, tuple(letters))
 
 
@@ -294,7 +297,7 @@ def format_presentation(p: Presentation, dialect: str = "plain") -> str:
             lines.append(",\n".join(body))
             lines.append("];;")
         return "\n".join(lines) + "\n"
-    raise ValueError(f"unknown dialect {dialect!r}")
+    raise ParseError(f"unknown dialect {dialect!r}")
 
 
 def _plain_token(t: Token) -> str:

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
+from .errors import ParseError
 from .presentations import substitute
 
 
@@ -27,7 +28,7 @@ class CheckLine:
     def __post_init__(self):
         for field in (self.check_id, self.lhs, self.rhs):
             if field.split() != [field]:
-                raise ValueError(f"report field with whitespace or empty: {field!r}")
+                raise ParseError(f"report field with whitespace or empty: {field!r}")
 
     @classmethod
     def comparing(cls, check_id: str, lhs, rhs) -> CheckLine:

@@ -11,7 +11,6 @@ from chromabraid.errors import AutBoundError, GraphInputError, IndexRangeError, 
 from chromabraid.graphs import (
     _GRAPH_CACHE_SIZE,
     DihedralElement,
-    _automorphisms,
     _dihedral_perms,
     SimpleGraph,
     automorphisms,
@@ -77,6 +76,15 @@ class TestConstruction:
         # and a 4-cycle unequal to cycle(4)
         with pytest.raises(GraphInputError, match=message):
             SimpleGraph(n, frozenset(edges))
+
+    @pytest.mark.parametrize(
+        "edge", [(1.5, 2), (1, 2, 3)], ids=["float_vertex", "triple"]
+    )
+    def test_edges_must_be_integer_pairs(self, edge):
+        # a float vertex was accepted, and a triple failed tuple unpacking
+        # with a bare ValueError
+        with pytest.raises(GraphInputError, match="not a pair of integers"):
+            SimpleGraph(4, frozenset({edge}))
 
     def test_families(self):
         assert cycle(4).edges == frozenset({(1, 2), (2, 3), (3, 4), (1, 4)})
@@ -187,7 +195,6 @@ class TestAutomorphisms:
             G = from_edge_list(6, [e for b, e in enumerate(edges) if k >> b & 1])
             automorphisms(G)
             _edge_index(G)
-        assert _automorphisms.cache_info().currsize == _GRAPH_CACHE_SIZE
         assert _edge_index.cache_info().currsize == _GRAPH_CACHE_SIZE
 
     def test_is_automorphism_agrees(self):

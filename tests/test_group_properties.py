@@ -1,7 +1,7 @@
 """Property tests: to_element is a homomorphism onto the twisted product, the
-extension layer answers malformed input only with a ChromabraidError, and
-the Garside normal form is invariant under free cancellation and braid
-relations."""
+extension layer, presentations, reports and lk_matrix answer malformed input
+only with a ChromabraidError, and the Garside normal form is invariant under
+free cancellation and braid relations."""
 
 from functools import lru_cache
 
@@ -22,6 +22,9 @@ from chromabraid.extension import (  # noqa: E402
 )
 from chromabraid.garside import NormalForm, normal_form  # noqa: E402
 from chromabraid.graphs import DihedralElement, cycle, path  # noqa: E402
+from chromabraid.lkrep import lk_matrix  # noqa: E402
+from chromabraid.presentations import Presentation, format_presentation, substitute  # noqa: E402
+from chromabraid.report import CheckLine, Report  # noqa: E402
 from chromabraid.words import (  # noqa: E402
     BraidWord,
     Permutation,
@@ -177,6 +180,62 @@ def test_extension_errors_are_domain_errors(call, word_order, x, y, n):
         "inv": lambda: inv(x),
         "compute_cocycle": lambda: compute_cocycle(n),
         "verify": lambda: verify_final_proposition(n),
+    }
+    try:
+        calls[call]()
+    except ChromabraidError:
+        pass
+
+
+generator_names = st.sampled_from(("x", "y", "z"))
+# tokens with exponents other than +-1, over names a table may lack
+relators = st.lists(st.tuples(generator_names, st.integers(-2, 2)), max_size=4).map(tuple)
+# report fields, empty or with whitespace among them
+fields = st.text(alphabet="ab \t", max_size=3)
+
+
+@st.composite
+def tables(draw):
+    """n and a generator table on n strands over some of the names."""
+    n = draw(st.integers(2, 4))
+    names = draw(st.sets(generator_names))
+    return n, {name: BraidWord(n, draw(signed_letters(n, 3))) for name in sorted(names)}
+
+
+@st.composite
+def words_and_budgets(draw):
+    """A word on 1..4 strands and a length budget that may be below its length."""
+    n = draw(st.integers(1, 4))
+    w = BraidWord(n, draw(signed_letters(n, 4))) if n > 1 else BraidWord(n)
+    return w, draw(st.integers(-1, len(w.letters) + 1))
+
+
+@given(
+    st.sampled_from(("presentation", "format", "check_line", "substitute", "report", "lk_matrix")),
+    st.lists(generator_names, max_size=3).map(tuple),
+    st.lists(relators, max_size=3).map(tuple),
+    st.sampled_from(("plain", "algebra-system", "gap", "")),
+    st.tuples(fields, fields, fields),
+    tables(),
+    words_and_budgets(),
+)
+def test_presentation_and_report_errors_are_domain_errors(
+    call, generators, rels, dialect, line, table, word_budget
+):
+    # malformed input returns or raises a ChromabraidError: never the bare
+    # ValueError or KeyError of a duplicate or missing name, a bad exponent,
+    # dialect or report field, or a budget below the word's length
+    n, words = table
+    w, budget = word_budget
+    calls = {
+        "presentation": lambda: Presentation(generators, rels),
+        "format": lambda: format_presentation(Presentation(("x",), ((("x", 1),),)), dialect),
+        "check_line": lambda: CheckLine(line[0], True, line[1], line[2]),
+        "substitute": lambda: [substitute(rel, words, n) for rel in rels],
+        "report": lambda: Report.substituting(
+            [(f"r{k}", rel, ()) for k, rel in enumerate(rels)], words, n, normal_form
+        ),
+        "lk_matrix": lambda: lk_matrix(w, length_budget=budget),
     }
     try:
         calls[call]()

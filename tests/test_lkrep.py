@@ -12,6 +12,7 @@ import pytest
 
 import chromabraid
 from chromabraid.errors import ChromabraidError, ResourceLimitError, StrandMismatchError
+from chromabraid.garside import equal_in_Bn
 from chromabraid.lkrep import equal_via_representation, lk_matrix
 from chromabraid.words import BraidWord, concat, inverse, power
 
@@ -38,6 +39,12 @@ class TestDefiningRelations:
         for i in range(1, n):
             assert equal_via_representation(BraidWord(n, (i, -i)), trivial)
             assert equal_via_representation(BraidWord(n, (-i, i)), trivial)
+
+    def test_one_strand(self):
+        # B_1 is trivial: the only word is empty, its matrix 0 x 0
+        u, v = BraidWord(1), BraidWord(1)
+        assert equal_via_representation(u, v) is True
+        assert equal_via_representation(u, v) == equal_in_Bn(u, v)
 
 
 class TestSeparation:
