@@ -28,6 +28,15 @@ n).  The largest per n are compute_cocycle and the product table mul and inv
 read: 4n^2 entries of n coordinates each, refused above
 extension.MAX_CYCLE_ORDER.  The graph-keyed caches keep the most recently used
 graphs, since their keys are whatever graphs a caller builds.
+
+Every resource limit in the package is one constant compared with its input,
+before anything sized by that input is built:
+
+- _kernel.MAX_STRANDS: refuses a word or graph on more strands; raises ResourceLimitError.
+- extension.MAX_CYCLE_ORDER: refuses the cocycle of a larger cycle; raises ResourceLimitError.
+- verify.MAX_N: refuses full_paper_report on a larger max_n; raises ResourceLimitError.
+- graphs.MAX_AUT_VERTICES: refuses automorphisms on more vertices; raises AutBoundError.
+- lkrep._PACKED_LIMIT_BITS: refuses packed LK matrices of more bits; raises ResourceLimitError.
 """
 
 from ._kernel import KERNEL

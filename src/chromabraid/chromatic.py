@@ -235,7 +235,7 @@ def section(g: Permutation, G: SimpleGraph) -> BraidWord:
         if work[p - 1] == p:
             continue
         v = work.index(p, p - 1) + 1
-        work[p - 1], work[v - 1] = work[v - 1], work[p - 1]
+        work[v - 1] = work[p - 1]
         word = concat(word, e_word(p, v, n))
     return word
 

@@ -34,7 +34,7 @@ class GraphInputError(ChromabraidError, ValueError):
 
 
 class AutBoundError(ChromabraidError, ValueError):
-    """Exhaustive automorphism search refused: vertex count above the configured bound."""
+    """Exhaustive automorphism search refused: vertex count above graphs.MAX_AUT_VERTICES."""
 
 
 class NotPureError(ChromabraidError, ValueError):

@@ -18,6 +18,9 @@ from .words import Permutation
 # not bounded by the strand range.  verify-paper's standard suite uses 24 graphs.
 _GRAPH_CACHE_SIZE = 64
 
+# The most vertices automorphisms searches, since the search is exhaustive.
+MAX_AUT_VERTICES = 10
+
 
 @dataclass(frozen=True)
 class SimpleGraph:
@@ -125,16 +128,13 @@ def is_automorphism(G: SimpleGraph, g: Permutation) -> bool:
     return True
 
 
-def automorphisms(G: SimpleGraph, max_vertices: int = 10) -> list[Permutation]:
-    """All automorphisms of G by pruned backtracking, sorted by one-line notation.
-
-    Refuses graphs larger than max_vertices since the search is exhaustive;
-    raise the bound explicitly when a larger instance is genuinely wanted.
-    """
+def automorphisms(G: SimpleGraph) -> list[Permutation]:
+    """All automorphisms of G by pruned backtracking, sorted by one-line
+    notation.  Graphs above MAX_AUT_VERTICES are refused."""
     n = G.vertices
-    if n > max_vertices:
+    if n > MAX_AUT_VERTICES:
         raise AutBoundError(
-            f"automorphism search on {n} vertices exceeds bound {max_vertices}"
+            f"automorphism search on {n} vertices exceeds bound {MAX_AUT_VERTICES}"
         )
     deg = [0] + [G.degree(v) for v in range(1, n + 1)]
     adj = [frozenset()] + [G.neighbors(v) for v in range(1, n + 1)]

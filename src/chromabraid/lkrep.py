@@ -182,15 +182,15 @@ def _layout(budget: int) -> tuple[int, int, int]:
 
 
 def _packed_rules(n: int, letter: int, budget: int):
-    """_column_rules(n, letter) for packed columns: (column, grows, terms)
-    with terms ((source, mult, shift), ...).  A term times q^2 t is
-    (x << shift) * mult on a packed source x; a copy has grows = 0 and
-    keeps its source's int and offset."""
+    """_column_rules(n, letter) for packed columns, as (copies, sums): a
+    copy (column, source) keeps its source's int and offset, and a sum
+    (column, terms) has terms ((source, mult, shift), ...), where a term
+    times q^2 t is (x << shift) * mult on a packed source x."""
     bits, row, _ = _layout(budget)
-    rules = []
+    copies, sums = [], []
     for c, terms in _column_rules(n, letter):
         if len(terms) == 1 and terms[0][1] == _ONE:
-            rules.append((c, 0, ((terms[0][0], 1, 0),)))
+            copies.append((c, terms[0][0]))
             continue
         packed = []
         for s, monos in terms:
@@ -198,8 +198,8 @@ def _packed_rules(n: int, letter: int, budget: int):
             zeros = (mult & -mult).bit_length() - 1
             shift = zeros + (monos[0][2] + 1) * row * bits
             packed.append((s, mult >> zeros, shift))
-        rules.append((c, 1, tuple(packed)))
-    return rules
+        sums.append((c, tuple(packed)))
+    return copies, sums
 
 
 def _packed_matrix(w: BraidWord, budget: int) -> tuple[list[list[int]], list[int]]:
@@ -211,12 +211,9 @@ def _packed_matrix(w: BraidWord, budget: int) -> tuple[list[list[int]], list[int
     offsets = [0] * m
     rules = {a: _packed_rules(w.strands, a, budget) for a in set(w.letters)}
     for letter in w.letters:
-        new_cols = []
-        for c, grows, terms in rules[letter]:
-            if not grows:
-                s = terms[0][0]
-                new_cols.append((c, cols[s], offsets[s]))
-                continue
+        copies, sums = rules[letter]
+        new_cols = [(c, cols[s], offsets[s]) for c, s in copies]
+        for c, terms in sums:
             top = max(offsets[s] for s, _, _ in terms)
             col = None
             for s, mult, shift in terms:

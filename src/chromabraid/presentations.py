@@ -268,10 +268,13 @@ def cyclic_braid_presentation(n: int) -> Presentation:
 
 
 def substitute(rel, table: dict[str, BraidWord], n: int) -> BraidWord:
-    """Evaluate a relator as a braid word through a generator-to-word table."""
+    """Evaluate a relator, whose token exponents are +-1 as in a
+    Presentation, as a braid word through a generator-to-word table."""
     letters: list[int] = []
     try:
         for name, exp in rel:
+            if exp not in (1, -1):
+                raise IndexRangeError(f"token exponent must be +-1, got {exp}")
             piece = table[name].letters
             letters.extend(piece if exp > 0 else [-k for k in reversed(piece)])
     except KeyError as missing:

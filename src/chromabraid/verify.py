@@ -3,16 +3,14 @@ on, checked against the equality oracles and rendered as report lines.
 
 These functions power both the verify-paper CLI command and the acceptance
 tests, so their check IDs are stable identifiers.  Each suite forms every
-distinct side once (Report.comparing).  full_paper_report predicts its line
-count in closed form (report_line_count) and refuses a max_n above
-MAX_REPORT_LINES before building any check.
+distinct side once (Report.comparing).  full_paper_report refuses a max_n
+above MAX_N before building any check.
 """
 
 from __future__ import annotations
 
 from functools import partial
 from itertools import combinations, combinations_with_replacement
-from math import comb
 
 from .chromatic import normal_form_in_BGamma
 from .errors import IndexRangeError, ResourceLimitError
@@ -29,11 +27,10 @@ from .presentations import (
 from .report import Report
 from .words import BraidWord, a_word, e_word, psi_r
 
-# The most lines full_paper_report builds.  The count grows about as
-# max_n^5 / 120, from identity (3): --max-n 12 gives 3,991 lines, 20 gives
-# 35,925 (4.3 MB of output, 2.4 s on a 2-CPU VM), and 21 is the largest
-# max_n admitted.
-MAX_REPORT_LINES = 50_000
+# The largest max_n full_paper_report builds.  Its line count grows about as
+# max_n^5 / 120, from identity (3): --max-n 12 gives 3,991 lines, and 21
+# gives 45,043 lines in 2.5 s on a 2-CPU VM (22 would give 55,953).
+MAX_N = 21
 
 
 def _lemma_checks(n: int):
@@ -141,50 +138,13 @@ def standard_graph_suite(max_n: int) -> list[tuple[str, SimpleGraph]]:
     return graphs
 
 
-def _complete_relators(n: int) -> int:
-    """Relators of pure_chromatic_presentation(complete(n)): one per pair of
-    edges, less one per triangle, whose three pairs give two equations."""
-    return comb(comb(n, 2), 2) - comb(n, 3)
-
-
-def report_line_count(max_n: int) -> int:
-    """len(full_paper_report(max_n).lines), in closed form, for max_n >= 4.
-
-    Sums over n use the hockey stick, sum_{n <= N} C(n, k) = C(N + 1, k + 1);
-    the suites capped at a small n are summed term by term.
-    """
-    N, h = max_n, (max_n - 1) // 2
-    lemma = (
-        comb(N - 1, 2) - 1                           # (1): n - 2 per n
-        + 2 * (comb(N + 1, 4) - 1)                   # (2), and (3) with j = l: C(n, 3)
-        + comb(N + 1, 5)                             # (3) with j > l: C(n, 4)
-        + 2 * comb(h + 1, 3) - N % 2 * comb(h, 2)    # (4): C((n - 1) // 2, 2)
-        + (N - 3) ** 2 // 4                          # (5): (n - 3) // 2
-    )
-    artin = comb(min(N, 6), 3)  # C(n - 1, 2) per n from 3
-    markoff = sum(map(_complete_relators, range(3, min(N, 6) + 1)))
-    chromatic = (
-        comb(N + 1, 3) - 4                           # cycle(n), 4 <= n: C(n, 2)
-        + comb(N, 3)                                 # path(n), 2 <= n: C(n - 1, 2)
-        + 6 * (N >= 5)                               # star5: C(4, 2)
-        + sum(map(_complete_relators, range(3, min(N, 5) + 1)))
-    )
-    final = sum(comb(n, 2) + 2 * n + 3 for n in range(4, min(N, 12) + 1))
-    return lemma + artin + markoff + chromatic + final
-
-
 def full_paper_report(max_n: int = 9) -> Report:
-    """Aggregate suite run by the verify-paper command.  A max_n whose
-    report_line_count exceeds MAX_REPORT_LINES is refused before any check
-    is built."""
+    """Aggregate suite run by the verify-paper command.  A max_n above
+    MAX_N is refused before any check is built."""
     if max_n < 4:
         raise IndexRangeError(f"verify-paper needs max_n >= 4, got {max_n}")
-    lines = report_line_count(max_n)
-    if lines > MAX_REPORT_LINES:
-        raise ResourceLimitError(
-            f"verify-paper --max-n {max_n} would print {lines} lines,"
-            f" above the limit of {MAX_REPORT_LINES}"
-        )
+    if max_n > MAX_N:
+        raise ResourceLimitError(f"verify-paper --max-n {max_n} is above the limit of {MAX_N}")
     report = lemma_report(range(4, max_n + 1))
     report += artin_soundness_report(range(3, min(max_n, 6) + 1))
     report += markoff_soundness_report(range(3, min(max_n, 6) + 1))

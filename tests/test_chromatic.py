@@ -203,12 +203,14 @@ class TestIStar:
                 x = i_star(section(g, G), G)
                 assert x.vector.is_zero()
                 assert x.aut == g
+                assert x.is_identity() == g.is_identity()
 
     def test_edge_band_word(self):
         G = cycle(4)
         x = i_star(s_word(1, 2, 4), G)
         assert x.vector == unit_vector(G, 1, 2)
         assert x.aut.is_identity()
+        assert not x.is_identity()
 
     def test_out_of_scope(self):
         with pytest.raises(OutOfScopeError):

@@ -12,7 +12,7 @@ from chromabraid.cli import main, parse_graph_spec, read_graph_file
 from chromabraid.errors import GraphInputError, ResourceLimitError
 from chromabraid.garside import normal_form
 from chromabraid.graphs import cycle, from_edge_list
-from chromabraid.verify import MAX_REPORT_LINES, report_line_count
+from chromabraid.verify import MAX_N
 from chromabraid.words import BraidWord, parse_word
 
 
@@ -327,13 +327,10 @@ class TestVerifyPaper:
         assert (code1, out1, err1) == (code2, out2, err2)
 
     def test_size_limit(self, capsys):
-        # the smallest max_n over the line limit: exit 2, one error line
-        max_n = next(m for m in range(4, 100) if report_line_count(m) > MAX_REPORT_LINES)
-        code, out, err = run(capsys, "verify-paper", "--max-n", str(max_n))
+        # the smallest max_n over the limit: exit 2, one error line
+        code, out, err = run(capsys, "verify-paper", "--max-n", str(MAX_N + 1))
         assert (code, out) == (2, "")
-        lines = report_line_count(max_n)
-        assert err == (f"error: verify-paper --max-n {max_n} would print {lines} lines,"
-                       f" above the limit of {MAX_REPORT_LINES}\n")
+        assert err == f"error: verify-paper --max-n {MAX_N + 1} is above the limit of {MAX_N}\n"
 
 
 class TestMainProperty:

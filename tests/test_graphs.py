@@ -10,6 +10,7 @@ from chromabraid._kernel import MAX_STRANDS
 from chromabraid.errors import AutBoundError, GraphInputError, IndexRangeError, ResourceLimitError
 from chromabraid.graphs import (
     _GRAPH_CACHE_SIZE,
+    MAX_AUT_VERTICES,
     DihedralElement,
     _dihedral_perms,
     SimpleGraph,
@@ -185,9 +186,13 @@ class TestAutomorphisms:
         assert [g.image for g in auts] == sorted(g.image for g in auts)
 
     def test_bound(self):
-        with pytest.raises(AutBoundError):
-            automorphisms(complete(11))
-        assert len(automorphisms(cycle(12), max_vertices=12)) == 24
+        # answered at the bound, refused one vertex above it
+        assert MAX_AUT_VERTICES == 10
+        assert len(automorphisms(cycle(10))) == 20
+        assert len(automorphisms(path(10))) == 2
+        for G in (path(11), complete(11)):
+            with pytest.raises(AutBoundError, match="^automorphism search on 11 vertices exceeds bound 10$"):
+                automorphisms(G)
 
     def test_graph_keyed_caches_are_bounded(self):
         edges = list(combinations(range(1, 7), 2))

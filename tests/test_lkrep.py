@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import chromabraid
+from chromabraid import lkrep
 from chromabraid.errors import ChromabraidError, ResourceLimitError, StrandMismatchError
 from chromabraid.garside import equal_in_Bn
 from chromabraid.lkrep import equal_via_representation, lk_matrix
@@ -75,6 +76,7 @@ class TestWindows:
         m = lk_matrix(BraidWord(4), length_budget=1)
         assert m.shape == (6, 6, 5, 3)
         assert m[0, 0, 2, 1] == 1
+        assert np.array_equal(lk_matrix(BraidWord(4)), m)  # the default budget is 1
 
     def test_object_dtype_path_agrees(self):
         # past the int64 length threshold the object-dtype lane must give
@@ -89,6 +91,13 @@ class TestWindows:
     def test_dtype_threshold(self):
         short = lk_matrix(BraidWord(3, (1,) * 22))
         assert short.dtype == np.int64
+
+    def test_digits_wider_than_64_bits(self):
+        # budget 26 packs 63-bit digits, read in uint64 lanes; budget 27
+        # packs 65-bit digits, read as Python ints
+        w = BraidWord(3, (1, 2) * 13)
+        narrow, wide = lk_matrix(w, length_budget=26), lk_matrix(w, length_budget=27)
+        assert np.array_equal(narrow, wide[..., 2:107, 1:54])
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     @pytest.mark.parametrize(
@@ -113,7 +122,10 @@ class TestResourceLimit:
         u = BraidWord(8, letters)
         v = BraidWord(8, letters[:50] + (3, -3) + letters[50:])
         start = time.perf_counter()
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(ResourceLimitError, match=(
+            "^exact LK matrices for 8 strands and 100 letters could take 3540 MiB,"
+            " over the 256 MiB limit$"
+        )):
             equal_via_representation(u, v)
         assert time.perf_counter() - start < 1.0
         assert isinstance(ResourceLimitError("x"), ChromabraidError)
@@ -122,6 +134,19 @@ class TestResourceLimit:
         rng = random.Random(9)
         u = BraidWord(8, tuple(rng.choice((1, -1)) * rng.randint(1, 7) for _ in range(100)))
         assert not equal_via_representation(u, BraidWord(8, u.letters + (1,)))
+
+    def test_pair_at_the_limit_is_answered(self, monkeypatch):
+        # the braid relation on 3 strands: m = 3 columns, budget B = 3 and
+        # 9-bit digits, so the two packed matrices could take
+        # 2 m^2 * 9 * (4B+1)(2B+1) bits; a real pair near the 2^31 bits
+        # (256 MiB) of the limit would be too slow for this suite
+        u, v = BraidWord(3, (1, 2, 1)), BraidWord(3, (2, 1, 2))
+        size = 2 * 3**2 * 9 * 13 * 7
+        monkeypatch.setattr(lkrep, "_PACKED_LIMIT_BITS", size)
+        assert equal_via_representation(u, v)
+        monkeypatch.setattr(lkrep, "_PACKED_LIMIT_BITS", size - 1)
+        with pytest.raises(ResourceLimitError, match="exact LK matrices for 3 strands and 3 letters"):
+            equal_via_representation(u, v)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_criterion_8_sizes_are_allowed(self, n):

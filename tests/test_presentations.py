@@ -311,6 +311,12 @@ class TestSubstitute:
         w = substitute((("u", 1), ("v", -1)), table, 3)
         assert w.letters == (1, 2, -2)
 
+    @pytest.mark.parametrize("exp", [0, -3, 2])
+    def test_exponent_other_than_one_is_refused(self, exp):
+        # as in a Presentation, a token exponent is +-1, not a sign
+        with pytest.raises(IndexRangeError, match=f"^token exponent must be \\+-1, got {exp}$"):
+            substitute((("x", exp),), {"x": parse_word("1", 2)}, 2)
+
     def test_band_words_satisfy_pure_relators(self):
         n = 4
         table = {

@@ -1,5 +1,5 @@
 """Verification suites: the verify-paper fingerprint, the chromatic suite's
-decidable fragment, the predicted line count, and the work the replay does."""
+decidable fragment, the max_n limit, and the work the replay does."""
 
 import hashlib
 import random
@@ -11,12 +11,7 @@ from chromabraid import chromatic, garside, verify
 from chromabraid.chromatic import dihedral_lift_counts, edge_lk, i_star
 from chromabraid.errors import OutOfScopeError, ResourceLimitError
 from chromabraid.graphs import DihedralElement, cycle, from_edge_list
-from chromabraid.verify import (
-    MAX_REPORT_LINES,
-    chromatic_soundness_report,
-    full_paper_report,
-    report_line_count,
-)
+from chromabraid.verify import MAX_N, chromatic_soundness_report, full_paper_report
 from chromabraid.words import BraidWord, inverse, psi_a_word, psi_b_word, s_word
 
 # verify-paper --max-n 12, the behavioural fingerprint: all 3,991 lines PASS
@@ -39,23 +34,15 @@ def test_chromatic_report_out_of_scope_graph():
         chromatic_soundness_report([("triangle4", G)])
 
 
-def test_report_line_count_is_the_report_length():
-    for max_n in range(4, 13):
-        assert report_line_count(max_n) == len(full_paper_report(max_n).lines), max_n
-    assert report_line_count(12) == FINGERPRINT_LINES
-
-
 def test_oversized_report_is_refused_before_any_check(monkeypatch):
-    max_n = next(m for m in range(4, 100) if report_line_count(m) > MAX_REPORT_LINES)
-
     def no_checks(ns):
         raise AssertionError("a check was built")
 
     monkeypatch.setattr(verify, "lemma_report", no_checks)
-    with pytest.raises(ResourceLimitError, match=f"would print {report_line_count(max_n)} lines"):
-        full_paper_report(max_n)
+    with pytest.raises(ResourceLimitError, match=f" {MAX_N + 1} is above the limit of {MAX_N}$"):
+        full_paper_report(MAX_N + 1)
     with pytest.raises(AssertionError, match="a check was built"):
-        full_paper_report(max_n - 1)
+        full_paper_report(MAX_N)
 
 
 SUITES = ("lemma_report", "artin_soundness_report", "markoff_soundness_report",
