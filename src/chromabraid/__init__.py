@@ -30,12 +30,15 @@ extension.MAX_CYCLE_ORDER.  The graph-keyed caches keep the most recently used
 graphs, since their keys are whatever graphs a caller builds.
 
 Every resource limit in the package is one constant compared with its input,
-before anything sized by that input is built:
+before anything sized by that input is built, except MAX_AUTOMORPHISMS, which
+is compared with the output as the search builds it:
 
 - _kernel.MAX_STRANDS: refuses a word or graph on more strands; raises ResourceLimitError.
+- _kernel.MAX_FORM_CELLS: refuses a normal form of more letters times strands; raises ResourceLimitError.
 - extension.MAX_CYCLE_ORDER: refuses the cocycle of a larger cycle; raises ResourceLimitError.
 - verify.MAX_N: refuses full_paper_report on a larger max_n; raises ResourceLimitError.
 - graphs.MAX_AUT_VERTICES: refuses automorphisms on more vertices; raises AutBoundError.
+- graphs.MAX_AUTOMORPHISMS: refuses a search that finds more automorphisms, checked as it goes; raises AutBoundError.
 - lkrep._PACKED_LIMIT_BITS: refuses packed LK matrices of more bits; raises ResourceLimitError.
 """
 

@@ -3,7 +3,8 @@
 The kernel does not check its letters: unchecked, it reads letter 0 as
 generator index -1 and returns (1, []) for (0,) on n=3.  Every entry point
 therefore rejects letters outside 0 < |k| < n, and strand counts above
-MAX_STRANDS, here, before the kernel runs.
+MAX_STRANDS, here, before the kernel runs; left_normal_form also refuses a
+word whose letters times strands exceed MAX_FORM_CELLS.
 """
 
 from __future__ import annotations
@@ -20,6 +21,11 @@ KERNEL = "pure"
 # sized by the strand count: a crossing matrix or complete graph at the cap
 # takes tens of MB, and _alphabet keeps at most 64 tables of 2n - 2 letters.
 MAX_STRANDS = 1000
+
+# The most letters times strands a normal form may take: the kernel keeps up
+# to one factor of n entries per letter, about 35 B per letter-strand, so
+# about 70 MB per form at the limit.
+MAX_FORM_CELLS = 2_000_000
 
 
 def check_strands(n):
@@ -49,6 +55,19 @@ def _validated(kernel_fn):
     return checked
 
 
-left_normal_form = _validated(_impl.left_normal_form)
+_checked_normal_form = _validated(_impl.left_normal_form)
+
+
+def left_normal_form(n, letters):
+    """The checked kernel normal form, refused above MAX_FORM_CELLS."""
+    letters = tuple(letters)
+    if len(letters) * n > MAX_FORM_CELLS:
+        raise ResourceLimitError(
+            f"a normal form of {len(letters)} letters on {n} strands exceeds "
+            f"the limit of {MAX_FORM_CELLS} letter-strands"
+        )
+    return _checked_normal_form(n, letters)
+
+
 crossing_counts = _validated(_impl.crossing_counts)
 strand_walk = _validated(_impl.strand_walk)

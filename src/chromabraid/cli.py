@@ -15,7 +15,8 @@ import argparse
 import re
 import sys
 
-from .chromatic import edge_lk, normal_form_in_BGamma
+from ._kernel import strand_walk
+from .chromatic import halved_counts, normal_form_in_BGamma
 from .errors import ChromabraidError, GraphInputError, ParseError
 from .garside import equal_in_Bn
 from .graphs import SimpleGraph, automorphisms, complete, cycle, from_edge_list, path
@@ -27,7 +28,7 @@ from .presentations import (
     markoff_presentation,
     pure_chromatic_presentation,
 )
-from .words import crossing_matrix, parse_word, perm_of
+from .words import Permutation, parse_word
 
 _NAMED_GRAPH = re.compile(r"(cycle|path|complete):([0-9]+)")
 _CONSTRUCTORS = {"cycle": cycle, "path": path, "complete": complete}
@@ -122,18 +123,20 @@ def cmd_eq(args) -> int:
 def cmd_invariants(args) -> int:
     n, G = _resolve_strands(args)
     w = parse_word(args.word, n)
-    g = perm_of(w)
+    # one walk gives what perm_of, crossing_matrix and edge_lk would
+    counts, ends = strand_walk(n, w.letters)
+    g = Permutation(tuple(p + 1 for p in ends))
     pure = g.is_identity()
     print(f"strands: {n}")
     print(f"perm: {g.one_line()}")
     print(f"pure: {'yes' if pure else 'no'}")
     print("crossings:")
-    m = crossing_matrix(w)
-    for row in m.rows:
+    for row in counts:
         print(" ".join(str(c) for c in row))
     if G is not None and pure:
-        print("edges: " + " ".join(f"{i}_{j}" for i, j in G.edges_sorted()))
-        print(f"edge_lk: {edge_lk(w, G)}")
+        edges = G.edges_sorted()
+        print("edges: " + " ".join(f"{i}_{j}" for i, j in edges))
+        print(f"edge_lk: {halved_counts(G, (counts[i - 1][j - 1] for i, j in edges))}")
     return 0
 
 

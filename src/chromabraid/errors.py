@@ -34,7 +34,8 @@ class GraphInputError(ChromabraidError, ValueError):
 
 
 class AutBoundError(ChromabraidError, ValueError):
-    """Exhaustive automorphism search refused: vertex count above graphs.MAX_AUT_VERTICES."""
+    """Exhaustive automorphism search refused: vertex count above
+    graphs.MAX_AUT_VERTICES, or more automorphisms than graphs.MAX_AUTOMORPHISMS."""
 
 
 class NotPureError(ChromabraidError, ValueError):

@@ -19,9 +19,10 @@ equal_in_Bn does the least work that still gives an exact answer, in order:
 
 normal_form takes no shortcut: verify-paper prints the forms of whole
 words.  The second, independent oracle,
-lkrep.equal_via_representation, is re-exported here; it takes no such
-shortcut and always works on the whole words, so that it cross-checks this
-one rather than sharing its reduction.
+lkrep.equal_via_representation, is re-exported here.  It shares only the
+per-word cancellation of step 2 with this one and takes none of the pair
+steps (1, the common prefix and suffix, 3), so that it cross-checks this
+oracle rather than sharing its reduction.
 """
 
 from __future__ import annotations

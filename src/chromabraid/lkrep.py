@@ -12,7 +12,13 @@ for 1 <= j < k <= n.  A generator sigma_i sends x_{j,k} to
 
 and the rules for sigma_i^-1 are obtained by solving the six cases above.
 
-equal_via_representation decides equality in two stages.
+equal_via_representation first replaces each word by what words._cancel_far
+leaves of it, cancelling each sigma_k^+-1 against the nearest earlier
+sigma_k^-+1 across letters that all commute with sigma_k.  This uses only
+the group axioms and far commutation, not Garside theory, and it is the one
+step the two oracles share: the common prefix and suffix, the same-letters
+shortcut and the exponent-sum and permutation checks stay in equal_in_Bn.
+It then decides equality of the reduced words in two stages.
 
 1. DISTINCT certificate.  Substituting fixed non-zero residues for q and t
    modulo the prime P = 2^61 - 1 is a ring homomorphism from Z[q^+-1, t^+-1]
@@ -64,7 +70,7 @@ from itertools import combinations
 from typing import TYPE_CHECKING
 
 from .errors import IndexRangeError, ResourceLimitError, StrandMismatchError
-from .words import BraidWord
+from .words import BraidWord, _cancel_far
 
 if TYPE_CHECKING:
     import numpy as np
@@ -299,14 +305,18 @@ def _columns_equal(pu, pv, step: int) -> bool:
 def equal_via_representation(u: BraidWord, v: BraidWord) -> bool:
     """Exact comparison of representation matrices; agrees with equal_in_Bn.
 
-    Differing certificate rows decide DISTINCT; otherwise the packed exact
-    matrices decide.  Raises ResourceLimitError, before building them, when
-    the two packed matrices could exceed _PACKED_LIMIT_BITS.
+    Each word first loses the inverse pairs words._cancel_far finds, which
+    leaves its braid, and so its matrix, unchanged.  Differing certificate
+    rows of the two reduced words decide DISTINCT; otherwise their packed
+    exact matrices decide.  Raises ResourceLimitError, before building
+    them, when the two packed matrices could exceed _PACKED_LIMIT_BITS.
     """
     if u.strands != v.strands:
         raise StrandMismatchError(
             f"comparing words on {u.strands} and {v.strands} strands"
         )
+    u = BraidWord(u.strands, _cancel_far(u.strands, u.letters))
+    v = BraidWord(v.strands, _cancel_far(v.strands, v.letters))
     if _certificate(u) != _certificate(v):
         return False
     budget = max(len(u.letters), len(v.letters), 1)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from chromabraid import _kernel, cli
 from chromabraid._kernel import MAX_STRANDS
 from chromabraid.cli import main, parse_graph_spec, read_graph_file
 from chromabraid.errors import GraphInputError, ResourceLimitError
@@ -254,6 +255,53 @@ class TestInvariants:
         assert code == 0
         assert "edge_lk" not in out
 
+    def test_pure_word_on_a_cycle_is_pinned(self, capsys):
+        code, out, err = run(
+            capsys, "invariants", "1 1 -3 -3 5 4 3 2 1 1 -2 -3 -4 -5 4 4", "--graph", "cycle:6"
+        )
+        assert (code, err) == (0, "")
+        assert out == (
+            "strands: 6\n"
+            "perm: 1 2 3 4 5 6\n"
+            "pure: yes\n"
+            "crossings:\n"
+            "0 2 0 0 0 2\n"
+            "2 0 0 0 0 0\n"
+            "0 0 0 -2 0 0\n"
+            "0 0 -2 0 2 0\n"
+            "0 0 0 2 0 0\n"
+            "2 0 0 0 0 0\n"
+            "edges: 1_2 1_6 2_3 3_4 4_5 5_6\n"
+            "edge_lk: [1,1,0,-1,1,0]\n"
+        )
+
+    def test_impure_word_on_a_cycle_is_pinned(self, capsys):
+        code, out, err = run(capsys, "invariants", "1 2 -3 5 -1 4", "--graph", "cycle:6")
+        assert (code, err) == (0, "")
+        assert out == (
+            "strands: 6\n"
+            "perm: 5 2 1 3 6 4\n"
+            "pure: no\n"
+            "crossings:\n"
+            "0 1 1 -1 0 1\n"
+            "1 0 -1 0 0 0\n"
+            "1 -1 0 0 0 0\n"
+            "-1 0 0 0 0 0\n"
+            "0 0 0 0 0 1\n"
+            "1 0 0 0 1 0\n"
+        )
+
+    def test_one_strand_walk(self, capsys, monkeypatch):
+        walks = []
+
+        def counted(n, letters):
+            walks.append(letters)
+            return _kernel.strand_walk(n, letters)
+
+        monkeypatch.setattr(cli, "strand_walk", counted)
+        assert run(capsys, "invariants", "1 1", "--graph", "cycle:4")[0] == 0
+        assert walks == [(1, 1)]
+
     def test_empty_word(self, capsys):
         code, out, err = run(capsys, "invariants", "", "-n", "3")
         assert code == 0
@@ -305,6 +353,19 @@ class TestStrandCap:
         assert lines[:4] == [f"strands: {MAX_STRANDS}", f"perm: 2 1 {rest}", "pure: no", "crossings:"]
         assert len(lines) == 4 + MAX_STRANDS
         assert lines[4].startswith("0 1 0 ")
+
+
+class TestFormSizeLimit:
+    def test_eq_just_above_the_limit_exits_2(self, capsys):
+        # sigma_1^1999 sigma_2^2 and sigma_2^2 sigma_1^1999 on 1,000 strands
+        # share no prefix or suffix, so both middles need a normal form of
+        # 2,001 letters; unchecked, the two would take about 0.6 s and 150 MB
+        u = " ".join(["1"] * 1999 + ["2", "2"])
+        v = " ".join(["2", "2"] + ["1"] * 1999)
+        assert run(capsys, "eq", "-n", "1000", u, v) == (2, "", (
+            "error: a normal form of 2001 letters on 1000 strands exceeds the limit"
+            " of 2000000 letter-strands\n"
+        ))
 
 
 class TestVerifyPaper:

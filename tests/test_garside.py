@@ -7,7 +7,7 @@ from itertools import combinations, product
 import pytest
 
 from chromabraid import _garside_py, _kernel, garside
-from chromabraid.errors import IndexRangeError, StrandMismatchError
+from chromabraid.errors import IndexRangeError, ResourceLimitError, StrandMismatchError
 from chromabraid.garside import NormalForm, equal_in_Bn, normal_form
 from chromabraid.words import BraidWord, Permutation, concat, inverse, perm_of, power
 
@@ -147,6 +147,29 @@ class TestKernelEdgeCases:
         for _ in range(40):
             nf = normal_form(rand_word(rng, 8, rng.randint(48, 256)))
             assert is_left_weighted(nf)
+
+
+class TestFormSizeLimit:
+    def test_at_the_limit(self):
+        # 2,000 letters on 1,000 strands: the limit's letter-strands exactly
+        assert 2000 * 1000 == _kernel.MAX_FORM_CELLS
+        assert _kernel.left_normal_form(1000, (1, -1) * 1000) == (0, [])
+
+    def test_above_the_limit_is_refused_before_the_kernel(self, monkeypatch):
+        monkeypatch.setattr(_kernel, "_checked_normal_form", None)
+        with pytest.raises(ResourceLimitError, match=(
+            "^a normal form of 2001 letters on 1000 strands exceeds the limit"
+            " of 2000000 letter-strands$"
+        )):
+            _kernel.left_normal_form(1000, (1, -1) * 1000 + (1,))
+
+    def test_only_the_middles_count(self):
+        # 20,000 letters on 1,000 strands as a whole word; every letter
+        # cancels against one of the inverse, so no normal form is taken
+        w = power(BraidWord(1000, tuple(range(1, 1000, 2))), 20)
+        assert equal_in_Bn(concat(w, inverse(w)), BraidWord(1000))
+        with pytest.raises(ResourceLimitError):
+            normal_form(w)
 
 
 class TestPermutationBraidOracle:

@@ -5,12 +5,14 @@ from itertools import combinations, permutations
 
 import pytest
 
+from chromabraid import graphs
 from chromabraid.chromatic import _edge_index
 from chromabraid._kernel import MAX_STRANDS
 from chromabraid.errors import AutBoundError, GraphInputError, IndexRangeError, ResourceLimitError
 from chromabraid.graphs import (
     _GRAPH_CACHE_SIZE,
     MAX_AUT_VERTICES,
+    MAX_AUTOMORPHISMS,
     DihedralElement,
     _dihedral_perms,
     SimpleGraph,
@@ -193,6 +195,22 @@ class TestAutomorphisms:
         for G in (path(11), complete(11)):
             with pytest.raises(AutBoundError, match="^automorphism search on 11 vertices exceeds bound 10$"):
                 automorphisms(G)
+
+    def test_output_bound(self, monkeypatch):
+        # complete(8) has 8! automorphisms, the bound itself; complete(9) is
+        # refused when the search finds one more, not after all 9!
+        assert MAX_AUTOMORPHISMS == 40320
+        assert len(automorphisms(complete(8))) == MAX_AUTOMORPHISMS
+        built = []
+
+        def counted(image):
+            built.append(image)
+            return Permutation(image)
+
+        monkeypatch.setattr(graphs, "Permutation", counted)
+        with pytest.raises(AutBoundError, match="^automorphism search on 9 vertices found more than 40320$"):
+            automorphisms(complete(9))
+        assert len(built) == MAX_AUTOMORPHISMS
 
     def test_graph_keyed_caches_are_bounded(self):
         edges = list(combinations(range(1, 7), 2))

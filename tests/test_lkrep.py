@@ -115,12 +115,13 @@ class TestWindows:
 
 class TestResourceLimit:
     def test_large_equal_pair_is_refused_quickly(self):
-        # n=8 and about 100 letters: the two packed matrices could take
-        # about 3.7 GB, so the exact stage refuses before building them
+        # n=8 and 100 positive letters, which have no inverse pair to cancel:
+        # the two packed matrices could take about 3.7 GB, so the exact stage
+        # refuses before building them
         rng = random.Random(8)
-        letters = tuple(rng.choice((1, -1)) * rng.randint(1, 7) for _ in range(98))
-        u = BraidWord(8, letters)
-        v = BraidWord(8, letters[:50] + (3, -3) + letters[50:])
+        letters = tuple(rng.randint(1, 7) for _ in range(97))
+        u = BraidWord(8, letters[:50] + (1, 2, 1) + letters[50:])
+        v = BraidWord(8, letters[:50] + (2, 1, 2) + letters[50:])
         start = time.perf_counter()
         with pytest.raises(ResourceLimitError, match=(
             "^exact LK matrices for 8 strands and 100 letters could take 3540 MiB,"
@@ -129,6 +130,24 @@ class TestResourceLimit:
             equal_via_representation(u, v)
         assert time.perf_counter() - start < 1.0
         assert isinstance(ResourceLimitError("x"), ChromabraidError)
+
+    def test_pair_over_the_limit_only_as_whole_words_is_answered(self):
+        # 123 letters on 4 strands, over the limit's 116 as whole words; the
+        # 50 inserted inverse pairs cancel, and the 23 letters left fit
+        rng = random.Random(10)
+        base = tuple(rng.randint(1, 3) for _ in range(20))
+        padded = list(base[:10] + (1, 2, 1) + base[10:])
+        for _ in range(50):
+            a = rng.choice((1, -1)) * rng.randint(1, 3)
+            pos = rng.randint(0, len(padded))
+            padded[pos:pos] = [a, -a]
+        u = BraidWord(4, tuple(padded))
+        v = BraidWord(4, base[:10] + (2, 1, 2) + base[10:])
+        assert len(u) == 123
+        bits, row, _ = lkrep._layout(len(u))
+        assert 2 * 6**2 * bits * row * (2 * len(u) + 1) > lkrep._PACKED_LIMIT_BITS
+        assert equal_via_representation(u, v)
+        assert equal_via_representation(v, u)
 
     def test_distinct_pairs_are_still_answered(self):
         rng = random.Random(9)

@@ -1,6 +1,7 @@
 """Property tests tying the LK oracle's certificate to its exact stage and to
-Garside, and its packed exact stage to the numpy exponent-window loop it
-replaced (kept here as the reference)."""
+Garside, its packed exact stage to the numpy exponent-window loop it
+replaced (kept here as the reference), and its verdicts on reduced words to
+the packed comparison of the whole words."""
 
 import numpy as np
 import pytest
@@ -164,3 +165,57 @@ def test_packed_verdict_on_rewrite_pairs(pair):
 @given(unequal_length_pairs())
 def test_packed_verdict_on_unequal_lengths(pair):
     assert equal_via_representation(*pair) == _reference_equal(*pair)
+
+
+@st.composite
+def padded(draw, n, base):
+    """base with one to four insertions: an inverse pair a a^-1 next to a
+    letter, a^+-1 and a^-+1 on both sides of a run of letters that commute
+    with a, or a braid relator."""
+    w = list(base)
+    for _ in range(draw(st.integers(1, 4))):
+        a = draw(st.integers(1, n - 1)) * draw(st.sampled_from((1, -1)))
+        pos = draw(st.integers(0, len(w)))
+        kind = draw(st.sampled_from(("adjacent", "far", "relator")))
+        if kind == "adjacent":
+            w[pos:pos] = [a, -a]
+        elif kind == "far":
+            end = pos
+            while end < len(w) and abs(abs(w[end]) - abs(a)) >= 2:
+                end += 1
+            end = draw(st.integers(pos, end))
+            w[end:end] = [-a]
+            w[pos:pos] = [a]
+        elif abs(a) < n - 1:
+            i, j = abs(a), abs(a) + 1
+            w[pos:pos] = [i, j, i, -j, -i, -j]
+    return BraidWord(n, tuple(w))
+
+
+@st.composite
+def padded_pairs(draw, max_n=6, max_len=12):
+    """Two padded words, of one base (an equal pair) or of two."""
+    n = draw(st.integers(2, max_n))
+    base = draw(letters(n, max_len))
+    other = base if draw(st.booleans()) else draw(letters(n, max_len))
+    return draw(padded(n, base)), draw(padded(n, other))
+
+
+def _whole_word_packed_equal(u, v):
+    """The packed exact comparison of the unreduced words, at the longer
+    whole word's budget."""
+    budget = max(len(u.letters), len(v.letters), 1)
+    step = lkrep._layout(budget)[2]
+    return lkrep._columns_equal(
+        lkrep._packed_matrix(u, budget), lkrep._packed_matrix(v, budget), step
+    )
+
+
+@given(padded_pairs())
+@example((BraidWord(5, (2, 4, -4, 1, -2)), BraidWord(5, (1,))))
+@example((BraidWord(4, (1, 2, 1, -2, -1, -2)), BraidWord(4, ())))
+def test_reduced_verdict_is_the_whole_word_verdict(pair):
+    u, v = pair
+    verdict = equal_via_representation(u, v)
+    assert verdict == equal_in_Bn(u, v)
+    assert verdict == _whole_word_packed_equal(u, v)
