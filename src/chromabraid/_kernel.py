@@ -1,10 +1,12 @@
 """Checked entry points to the Garside kernel in _garside_py.
 
 The kernel does not check its letters: unchecked, it reads letter 0 as
-generator index -1 and returns (1, []) for (0,) on n=3.  Every entry point
-therefore rejects letters outside 0 < |k| < n, and strand counts above
-MAX_STRANDS, here, before the kernel runs; left_normal_form also refuses a
-word whose letters times strands exceed MAX_FORM_CELLS.
+generator index -1 and returns (1, []) for (0,) on n=3.  check_letters is
+the one letter check, called by BraidWord and by every entry point here
+before the kernel runs: it refuses a letter that is not an int k with
+0 < |k| < n, and through _alphabet a strand count that check_strands
+refuses.  left_normal_form also refuses a word whose letters times strands
+exceed MAX_FORM_CELLS.
 """
 
 from __future__ import annotations
@@ -29,45 +31,47 @@ MAX_FORM_CELLS = 2_000_000
 
 
 def check_strands(n):
+    """Refuse a strand count that is not an int or is above MAX_STRANDS."""
+    if type(n) is not int:
+        raise IndexRangeError(f"strand count must be an integer, got {n!r}")
     if n > MAX_STRANDS:
         raise ResourceLimitError(f"{n} strands exceed the limit of {MAX_STRANDS}")
 
 
+# 3.0 misses the entry of 3 and reaches check_strands: lru_cache keys a lone
+# int argument by itself and a float by its argument tuple
 @functools.lru_cache(maxsize=64)
 def _alphabet(n):
     check_strands(n)
     return frozenset(range(1 - n, n)) - {0}
 
 
-def _validated(kernel_fn):
-    """kernel_fn(n, letters), raising IndexRangeError on a letter out of range."""
-
-    @functools.wraps(kernel_fn)
-    def checked(n, letters):
-        letters = tuple(letters)
-        # one set test, not a Python loop: compute_cocycle(4..12) alone sends
-        # 2,544 words of 426k letters in total through here
-        if not _alphabet(n).issuperset(letters):
-            bad = next(k for k in letters if k not in _alphabet(n))
-            raise IndexRangeError(f"letter {bad} needs 0 < |k| < {n} on {n} strands")
-        return kernel_fn(n, letters)
-
-    return checked
-
-
-_checked_normal_form = _validated(_impl.left_normal_form)
+def check_letters(n, letters):
+    """letters as a tuple, refused unless each is an int k with 0 < |k| < n."""
+    letters = tuple(letters)
+    alphabet = _alphabet(n)
+    # the set test admits 1.0 as 1, and only an all-int sum is an int; the
+    # sum comes second because it raises on a string
+    if not alphabet.issuperset(letters) or type(sum(letters)) is not int:
+        bad = next(k for k in letters if k not in alphabet or type(k) is not int)
+        raise IndexRangeError(f"letter {bad!r} out of range for {n} strands")
+    return letters
 
 
 def left_normal_form(n, letters):
     """The checked kernel normal form, refused above MAX_FORM_CELLS."""
-    letters = tuple(letters)
+    letters = check_letters(n, letters)
     if len(letters) * n > MAX_FORM_CELLS:
         raise ResourceLimitError(
             f"a normal form of {len(letters)} letters on {n} strands exceeds "
             f"the limit of {MAX_FORM_CELLS} letter-strands"
         )
-    return _checked_normal_form(n, letters)
+    return _impl.left_normal_form(n, letters)
 
 
-crossing_counts = _validated(_impl.crossing_counts)
-strand_walk = _validated(_impl.strand_walk)
+def crossing_counts(n, letters):
+    return _impl.crossing_counts(n, check_letters(n, letters))
+
+
+def strand_walk(n, letters):
+    return _impl.strand_walk(n, check_letters(n, letters))

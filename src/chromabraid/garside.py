@@ -30,9 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._kernel import left_normal_form
-from .errors import StrandMismatchError
 from .lkrep import equal_via_representation  # noqa: F401  re-exported
-from .words import BraidWord, Permutation, perm_of, reduced_middles
+from .words import BraidWord, Permutation, common_strands, perm_of, reduced_middles
 
 
 @dataclass(frozen=True)
@@ -61,10 +60,7 @@ def _exponent_sum(letters: tuple[int, ...]) -> int:
 
 
 def equal_in_Bn(u: BraidWord, v: BraidWord) -> bool:
-    if u.strands != v.strands:
-        raise StrandMismatchError(
-            f"comparing words on {u.strands} and {v.strands} strands"
-        )
+    common_strands(u, v)
     if _exponent_sum(u.letters) != _exponent_sum(v.letters) or perm_of(u) != perm_of(v):
         return False
     a, b = reduced_middles(u, v)

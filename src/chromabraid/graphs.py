@@ -65,28 +65,40 @@ class SimpleGraph:
 def from_edge_list(n: int, pairs) -> SimpleGraph:
     """Build a graph from vertex pairs in either order; multi-edges collapse.
 
-    The strand cap is checked before the pairs are read, so complete(n)
-    refuses a large n before it enumerates n(n-1)/2 pairs; SimpleGraph
-    checks the rest.
+    The strand cap is checked before the pairs are read, so a large n is
+    refused before lazy pairs, such as complete(n)'s n(n-1)/2, are
+    enumerated.  A pair that does not unpack into two comparable, hashable
+    values is refused here, and SimpleGraph checks the rest.
     """
     check_strands(n)
-    return SimpleGraph(n, frozenset((min(i, j), max(i, j)) for i, j in pairs))
+    edges = set()
+    for e in pairs:
+        try:
+            i, j = e
+            edges.add((i, j) if i < j else (j, i))
+        except (TypeError, ValueError):
+            raise GraphInputError(f"edge {e!r} is not a pair of integers") from None
+    return SimpleGraph(n, frozenset(edges))
 
 
+# 4.0 misses the entry of 4, as in _kernel._alphabet, and reaches check_strands
 @lru_cache(maxsize=None)
 def cycle(n: int) -> SimpleGraph:
+    check_strands(n)  # before range(n) reads it
     if n < 3:
         raise GraphInputError(f"cycle graph needs n >= 3, got {n}")
     return from_edge_list(n, ((i, i % n + 1) for i in range(1, n + 1)))
 
 
 def path(n: int) -> SimpleGraph:
+    check_strands(n)  # before range(n) reads it
     if n < 1:
         raise GraphInputError(f"path graph needs n >= 1, got {n}")
     return from_edge_list(n, ((i, i + 1) for i in range(1, n)))
 
 
 def complete(n: int) -> SimpleGraph:
+    check_strands(n)  # before range(n) reads it
     if n < 1:
         raise GraphInputError(f"complete graph needs n >= 1, got {n}")
     return from_edge_list(n, combinations(range(1, n + 1), 2))
@@ -198,12 +210,14 @@ class DihedralElement:
     reflected: bool
 
     def __post_init__(self):
-        if self.order < 3:
-            raise IndexRangeError(f"dihedral group needs n >= 3, got {self.order}")
-        if not 0 <= self.rotation < self.order:
+        if type(self.order) is not int or self.order < 3:
+            raise IndexRangeError(f"dihedral group needs an integer n >= 3, got {self.order!r}")
+        if type(self.rotation) is not int or not 0 <= self.rotation < self.order:
             raise IndexRangeError(
-                f"rotation {self.rotation} not reduced mod {self.order}"
+                f"rotation {self.rotation!r} not an integer reduced mod {self.order}"
             )
+        if type(self.reflected) is not bool:
+            raise IndexRangeError(f"reflected must be a bool, got {self.reflected!r}")
 
     @staticmethod
     def identity(n: int) -> DihedralElement:

@@ -70,7 +70,7 @@ from itertools import combinations
 from typing import TYPE_CHECKING
 
 from .errors import IndexRangeError, ResourceLimitError, StrandMismatchError
-from .words import BraidWord, _cancel_far
+from .words import BraidWord, _cancel_far, common_strands
 
 if TYPE_CHECKING:
     import numpy as np
@@ -311,21 +311,18 @@ def equal_via_representation(u: BraidWord, v: BraidWord) -> bool:
     exact matrices decide.  Raises ResourceLimitError, before building
     them, when the two packed matrices could exceed _PACKED_LIMIT_BITS.
     """
-    if u.strands != v.strands:
-        raise StrandMismatchError(
-            f"comparing words on {u.strands} and {v.strands} strands"
-        )
-    u = BraidWord(u.strands, _cancel_far(u.strands, u.letters))
-    v = BraidWord(v.strands, _cancel_far(v.strands, v.letters))
+    n = common_strands(u, v)
+    u = BraidWord(n, _cancel_far(n, u.letters))
+    v = BraidWord(n, _cancel_far(n, v.letters))
     if _certificate(u) != _certificate(v):
         return False
     budget = max(len(u.letters), len(v.letters), 1)
     bits, row, step = _layout(budget)
-    m = u.strands * (u.strands - 1) // 2
+    m = n * (n - 1) // 2
     size = 2 * m * m * bits * row * (2 * budget + 1)
     if size > _PACKED_LIMIT_BITS:
         raise ResourceLimitError(
-            f"exact LK matrices for {u.strands} strands and {budget} letters "
+            f"exact LK matrices for {n} strands and {budget} letters "
             f"could take {size // 8 // 2**20} MiB, over the {_PACKED_LIMIT_BITS // 8 // 2**20} MiB limit"
         )
     return _columns_equal(_packed_matrix(u, budget), _packed_matrix(v, budget), step)

@@ -27,7 +27,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from ._kernel import _alphabet, check_strands, crossing_counts
+from ._kernel import check_letters, check_strands, crossing_counts
 from .errors import IndexRangeError, ParseError, StrandMismatchError
 
 _TOKEN = re.compile(r"[+-]?[0-9]+")
@@ -45,7 +45,8 @@ class Permutation:
 
     def __post_init__(self):
         n = len(self.image)
-        if sorted(self.image) != list(range(1, n + 1)):
+        # sorted admits 1.0 as 1; only an all-int sum is an int
+        if sorted(self.image) != list(range(1, n + 1)) or type(sum(self.image)) is not int:
             raise IndexRangeError(f"not a permutation of 1..{n}: {self.image}")
 
     @staticmethod
@@ -93,14 +94,9 @@ class BraidWord:
     letters: tuple[int, ...] = ()
 
     def __post_init__(self):
+        check_letters(self.strands, self.letters)
         if self.strands < 1:
             raise IndexRangeError(f"strand count must be >= 1, got {self.strands}")
-        # the kernel's C-level set test, after its strand cap; the loop only
-        # finds the bad letter
-        alphabet = _alphabet(self.strands)
-        if not alphabet.issuperset(self.letters):
-            bad = next(k for k in self.letters if k not in alphabet)
-            raise IndexRangeError(f"letter {bad} out of range for {self.strands} strands")
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -147,8 +143,17 @@ def inverse(w: BraidWord) -> BraidWord:
 
 def power(w: BraidWord, e: int) -> BraidWord:
     """w^e as |e| copies of w, or of w^-1 when e is negative."""
+    if type(e) is not int:
+        raise IndexRangeError(f"power needs an integer exponent, got {e!r}")
     base = w if e >= 0 else inverse(w)
     return BraidWord(w.strands, base.letters * abs(e))
+
+
+def common_strands(u: BraidWord, v: BraidWord) -> int:
+    """The strand count of two words that are compared, which must share it."""
+    if u.strands != v.strands:
+        raise StrandMismatchError(f"comparing words on {u.strands} and {v.strands} strands")
+    return u.strands
 
 
 def _cancel_far(n: int, letters: tuple[int, ...]) -> tuple[int, ...]:
@@ -183,11 +188,8 @@ def reduced_middles(u: BraidWord, v: BraidWord) -> tuple[BraidWord, BraidWord]:
     their longest common prefix and suffix: in any group p.a.s = p.b.s iff
     a = b.
     """
-    if u.strands != v.strands:
-        raise StrandMismatchError(
-            f"comparing words on {u.strands} and {v.strands} strands"
-        )
-    a, b = _cancel_far(u.strands, u.letters), _cancel_far(v.strands, v.letters)
+    n = common_strands(u, v)
+    a, b = _cancel_far(n, u.letters), _cancel_far(n, v.letters)
     m = min(len(a), len(b))
     i = 0
     while i < m and a[i] == b[i]:
@@ -195,7 +197,7 @@ def reduced_middles(u: BraidWord, v: BraidWord) -> tuple[BraidWord, BraidWord]:
     j = 0
     while j < m - i and a[-1 - j] == b[-1 - j]:
         j += 1
-    return BraidWord(u.strands, a[i:len(a) - j]), BraidWord(v.strands, b[i:len(b) - j])
+    return BraidWord(n, a[i:len(a) - j]), BraidWord(n, b[i:len(b) - j])
 
 
 def a_word(i: int, j: int, n: int) -> BraidWord:

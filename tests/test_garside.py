@@ -6,7 +6,7 @@ from itertools import combinations, product
 
 import pytest
 
-from chromabraid import _garside_py, _kernel, garside
+from chromabraid import _kernel, garside
 from chromabraid.errors import IndexRangeError, ResourceLimitError, StrandMismatchError
 from chromabraid.garside import NormalForm, equal_in_Bn, normal_form
 from chromabraid.words import BraidWord, Permutation, concat, inverse, perm_of, power
@@ -156,7 +156,7 @@ class TestFormSizeLimit:
         assert _kernel.left_normal_form(1000, (1, -1) * 1000) == (0, [])
 
     def test_above_the_limit_is_refused_before_the_kernel(self, monkeypatch):
-        monkeypatch.setattr(_kernel, "_checked_normal_form", None)
+        monkeypatch.setattr(_kernel._impl, "left_normal_form", None)
         with pytest.raises(ResourceLimitError, match=(
             "^a normal form of 2001 letters on 1000 strands exceeds the limit"
             " of 2000000 letter-strands$"
@@ -317,7 +317,8 @@ class TestEquality:
 
 
 # letters outside 0 < |k| < 3: the kernel does not check them itself
-OUT_OF_RANGE = [(0,), (3,), (-3,)]
+# the last three equal valid letters but are not ints
+OUT_OF_RANGE = [(0,), (3,), (-3,), (1.0,), ("1",), (1, 2.0)]
 
 # sha256 of the kernel's normal forms on the cases below, computed with the
 # fixpoint sweep that the one-pass kernel replaced
@@ -344,9 +345,8 @@ class TestKernelLanes:
             h.update(repr(_kernel.left_normal_form(n, letters)).encode() + b"\n")
         assert h.hexdigest() == NF_DIGEST
         for letters in OUT_OF_RANGE:
-            for fn in (_garside_py.left_normal_form, _garside_py.crossing_counts):
-                with pytest.raises(IndexRangeError):
-                    _kernel._validated(fn)(3, letters)
+            with pytest.raises(IndexRangeError):
+                _kernel.check_letters(3, letters)
 
     @pytest.mark.parametrize("letters", OUT_OF_RANGE)
     def test_kernel_rejects_out_of_range_letters(self, letters):
@@ -354,6 +354,8 @@ class TestKernelLanes:
             _kernel.left_normal_form(3, letters)
         with pytest.raises(IndexRangeError):
             _kernel.crossing_counts(3, letters)
+        with pytest.raises(IndexRangeError):
+            _kernel.strand_walk(3, letters)
 
     def test_kernel_selection_reports(self):
         from chromabraid._kernel import KERNEL

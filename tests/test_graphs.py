@@ -1,6 +1,7 @@
 """Graphs, automorphism search against a brute-force oracle, dihedral algebra."""
 
 import random
+import re
 from itertools import combinations, permutations
 
 import pytest
@@ -97,6 +98,8 @@ class TestConstruction:
             cycle(2)
         with pytest.raises(GraphInputError):
             path(0)
+        with pytest.raises(GraphInputError):
+            complete(0)
 
     @pytest.mark.parametrize(
         "build",
@@ -112,6 +115,29 @@ class TestConstruction:
     def test_strand_cap(self, build):
         with pytest.raises(ResourceLimitError, match=f"^{MAX_STRANDS + 1} strands exceed"):
             build(MAX_STRANDS + 1)
+
+    def test_cap_comes_before_the_pairs(self):
+        def pairs():
+            raise AssertionError("the pairs were read")
+            yield
+
+        with pytest.raises(ResourceLimitError):
+            from_edge_list(MAX_STRANDS + 1, pairs())
+
+    @pytest.mark.parametrize("build", [cycle, path, complete, lambda n: SimpleGraph(n, frozenset())])
+    def test_vertex_count_must_be_an_integer(self, build):
+        build(4)  # cycle's cache holds 4; 4.0 equals it and must not hit it
+        with pytest.raises(IndexRangeError, match="^strand count must be an integer, got 4.0$"):
+            build(4.0)
+
+    @pytest.mark.parametrize(
+        "pair", [(1, 2, 3), 5, (1, "a")], ids=["triple", "not_iterable", "incomparable"]
+    )
+    def test_from_edge_list_refuses_a_non_pair(self, pair):
+        # a bare ValueError from unpacking and TypeErrors from iterating
+        # and comparing, before the pair reached SimpleGraph's check
+        with pytest.raises(GraphInputError, match=rf"^edge {re.escape(repr(pair))} is not a pair of integers$"):
+            from_edge_list(3, [(1, 2), pair])
 
     def test_families_at_the_cap(self):
         assert len(cycle(MAX_STRANDS).edges) == MAX_STRANDS
@@ -301,7 +327,23 @@ class TestDihedral:
         with pytest.raises(IndexRangeError):
             DihedralElement(4, 5, False)
         with pytest.raises(IndexRangeError):
+            DihedralElement(4, 4, False)
+        with pytest.raises(IndexRangeError):
             DihedralElement(2, 0, False)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ((4.0, 1, False), "dihedral group needs an integer n >= 3, got 4.0"),
+            ((4, 1.0, False), "rotation 1.0 not an integer reduced mod 4"),
+            ((4, 1, 1.0), "reflected must be a bool, got 1.0"),
+        ],
+        ids=["order", "rotation", "reflected"],
+    )
+    def test_fields_must_be_integers(self, fields, message):
+        # each equals a valid value; to_perm raised TypeError on the float index
+        with pytest.raises(IndexRangeError, match=f"^{message}$"):
+            DihedralElement(*fields)
 
 
 class TestHashing:

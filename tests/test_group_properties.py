@@ -1,7 +1,8 @@
 """Property tests: to_element is a homomorphism onto the twisted product, the
-extension layer, presentations, reports and lk_matrix answer malformed input
-only with a ChromabraidError, and the Garside normal form is invariant under
-free cancellation and braid relations."""
+word, Garside, chromatic and extension layers, presentations, reports and
+lk_matrix answer malformed input only with a ChromabraidError, and the
+Garside normal form is invariant under free cancellation and braid
+relations."""
 
 from functools import lru_cache
 
@@ -10,7 +11,15 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
-from chromabraid.chromatic import ChromaticElement, EdgeVector  # noqa: E402
+from chromabraid.chromatic import (  # noqa: E402
+    ChromaticElement,
+    EdgeVector,
+    edge_lk,
+    i_star,
+    normal_form_in_BGamma,
+    phi,
+    section,
+)
 from chromabraid.errors import ChromabraidError  # noqa: E402
 from chromabraid.extension import (  # noqa: E402
     MAX_CYCLE_ORDER,
@@ -20,16 +29,20 @@ from chromabraid.extension import (  # noqa: E402
     to_element,
     verify_final_proposition,
 )
-from chromabraid.garside import NormalForm, normal_form  # noqa: E402
-from chromabraid.graphs import DihedralElement, cycle, path  # noqa: E402
-from chromabraid.lkrep import lk_matrix  # noqa: E402
+from chromabraid.garside import NormalForm, equal_in_Bn, normal_form  # noqa: E402
+from chromabraid.graphs import DihedralElement, complete, cycle, from_edge_list, path  # noqa: E402
+from chromabraid.lkrep import equal_via_representation, lk_matrix  # noqa: E402
 from chromabraid.presentations import Presentation, format_presentation, substitute  # noqa: E402
 from chromabraid.report import CheckLine, Report  # noqa: E402
 from chromabraid.words import (  # noqa: E402
     BraidWord,
     Permutation,
+    a_word,
     concat,
+    e_word,
     inverse,
+    parse_word,
+    power,
     psi_a_word,
     psi_b_word,
     s_word,
@@ -236,6 +249,94 @@ def test_presentation_and_report_errors_are_domain_errors(
             [(f"r{k}", rel, ()) for k, rel in enumerate(rels)], words, n, normal_form
         ),
         "lk_matrix": lambda: lk_matrix(w, length_budget=budget),
+    }
+    try:
+        calls[call]()
+    except ChromabraidError:
+        pass
+
+
+# strand counts -1..1,001 (the cap is 1,000), most of them small enough to
+# match a graph, and a float equal to a valid one
+strand_counts = st.one_of(st.integers(-1, 9), st.integers(-1, 1001), st.just(3.0))
+# the LK oracle takes seconds on hundreds of strands, so it draws few; 1,001
+# is refused when the words are built
+lk_strand_counts = st.one_of(st.integers(-1, 6), st.just(1001), st.just(3.0))
+
+
+@st.composite
+def raw_words(draw, counts=strand_counts):
+    """A strand count n and up to four letters, valid ones on n strands or
+    ones that are not: 0, +-n, 1.0 and "1"."""
+    n = draw(counts)
+    bad = st.sampled_from((0, n, -n, 1.0, "1"))
+    k = int(n)
+    good = st.integers(1, k - 1).flatmap(lambda a: st.sampled_from((a, -a))) if k > 1 else bad
+    # most words are valid, so that the calls run past the constructor
+    letter = st.one_of(good, good, good, bad)
+    return n, tuple(draw(st.lists(letter, max_size=4)))
+
+
+# graphs on 1..7 vertices of every class normal_form_in_BGamma tells apart:
+# triangle-free (cycles and paths), complete, and a triangle plus a non-edge
+graphs = st.one_of(
+    st.integers(3, 7).map(cycle),
+    st.integers(1, 7).map(path),
+    st.integers(1, 5).map(complete),
+    st.just(from_edge_list(4, [(1, 2), (2, 3), (1, 3)])),
+)
+
+# permutation images of 1..7 points, most not automorphisms of the graph
+# drawn with them, some of another size, and ones with a float equal to 1;
+# DihedralElement reads the first value as its rotation
+images = st.one_of(
+    st.integers(1, 7).flatmap(lambda n: st.permutations(range(1, n + 1))).map(tuple),
+    st.sampled_from(((1.0, 2), (2, 1.0, 3))),
+)
+
+
+@given(
+    st.sampled_from((
+        "BraidWord", "parse_word", "a_word", "s_word", "e_word", "power",
+        "normal_form", "equal_in_Bn", "equal_via_representation", "i_star",
+        "phi", "section", "edge_lk", "normal_form_in_BGamma", "DihedralElement",
+    )),
+    raw_words(),
+    raw_words(),
+    raw_words(lk_strand_counts),
+    raw_words(lk_strand_counts),
+    graphs,
+    images,
+    st.tuples(st.integers(-1, 5), st.integers(-1, 5)),
+    st.one_of(st.integers(-3, 3), st.just(1.5)),
+    st.one_of(st.integers(-1, 8), st.just(4.0)),
+)
+def test_word_garside_and_chromatic_errors_are_domain_errors(
+    call, word, other, lk_word, lk_other, G, image, ij, e, order
+):
+    # malformed input returns or raises a ChromabraidError: never the
+    # TypeError of a float letter, strand count, exponent or permutation
+    # value, nor an IndexError of a letter read as a list index
+    (n, letters), (m, others) = word, other
+    i, j = ij
+    calls = {
+        "BraidWord": lambda: BraidWord(n, letters),
+        "parse_word": lambda: parse_word(" ".join(map(str, letters)), n),
+        "a_word": lambda: a_word(i, j, n),
+        "s_word": lambda: s_word(i, j, n),
+        "e_word": lambda: e_word(i, j, n),
+        "power": lambda: power(BraidWord(n, letters), e),
+        "normal_form": lambda: normal_form(BraidWord(n, letters)),
+        "equal_in_Bn": lambda: equal_in_Bn(BraidWord(n, letters), BraidWord(m, others)),
+        "equal_via_representation": lambda: equal_via_representation(
+            BraidWord(*lk_word), BraidWord(*lk_other)
+        ),
+        "i_star": lambda: i_star(BraidWord(n, letters), G),
+        "phi": lambda: phi(BraidWord(n, letters), G),
+        "section": lambda: section(Permutation(image), G),
+        "edge_lk": lambda: edge_lk(BraidWord(n, letters), G),
+        "normal_form_in_BGamma": lambda: normal_form_in_BGamma(BraidWord(n, letters), G),
+        "DihedralElement": lambda: DihedralElement(order, image[0], e == 1).to_perm(),
     }
     try:
         calls[call]()

@@ -12,7 +12,12 @@ import pytest
 
 import chromabraid
 from chromabraid import lkrep
-from chromabraid.errors import ChromabraidError, ResourceLimitError, StrandMismatchError
+from chromabraid.errors import (
+    ChromabraidError,
+    IndexRangeError,
+    ResourceLimitError,
+    StrandMismatchError,
+)
 from chromabraid.garside import equal_in_Bn
 from chromabraid.lkrep import equal_via_representation, lk_matrix
 from chromabraid.words import BraidWord, concat, inverse, power
@@ -65,8 +70,16 @@ class TestSeparation:
 
 class TestWindows:
     def test_budget_validation(self):
-        with pytest.raises(ValueError):
+        # refused by name: a budget below the length otherwise fails later
+        # with another ValueError, or packs a wrong matrix
+        with pytest.raises(IndexRangeError, match="^length budget 2 below the word's 3 letters$"):
             lk_matrix(BraidWord(3, (1, 2, 1)), length_budget=2)
+
+    def test_one_strand_matrix_is_refused(self):
+        # B_1 has no basis vectors; without the check lk_matrix returns an
+        # empty array
+        with pytest.raises(StrandMismatchError, match="^representation needs at least 2 strands$"):
+            lk_matrix(BraidWord(1))
 
     def test_strand_mismatch(self):
         with pytest.raises(StrandMismatchError):

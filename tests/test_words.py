@@ -79,6 +79,32 @@ class TestParsing:
             BraidWord(3, (1, -3, 0, 5))
 
 
+class TestIntegers:
+    """A letter, strand count, permutation value or exponent that equals a
+    valid int but is not one is refused, naming the first such value."""
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: BraidWord(3, (1.0,)), "letter 1.0 out of range for 3 strands"),
+            (lambda: BraidWord(3, (1, 2.0, 1.0)), "letter 2.0 out of range for 3 strands"),
+            (lambda: BraidWord(3, (1, "1")), "letter '1' out of range for 3 strands"),
+            (lambda: BraidWord(3.0), "strand count must be an integer, got 3.0"),
+            (lambda: parse_word("1", 3.0), "strand count must be an integer, got 3.0"),
+            (lambda: _kernel.strand_walk(3, (1.0,)), "letter 1.0 out of range for 3 strands"),
+            (lambda: Permutation((1.0, 2)), r"not a permutation of 1..2: \(1.0, 2\)"),
+            (lambda: power(BraidWord(3, (1,)), 1.5), "power needs an integer exponent, got 1.5"),
+        ],
+        ids=[
+            "letter", "second-letter", "string-letter", "strands", "parse_word",
+            "strand_walk", "Permutation", "power",
+        ],
+    )
+    def test_refused(self, build, message):
+        with pytest.raises(IndexRangeError, match=f"^{message}$"):
+            build()
+
+
 class TestStrandCap:
     """A strand count above MAX_STRANDS is refused before anything sized by it
     is built; at the cap every word constructor still works."""
