@@ -36,6 +36,10 @@ once, at the end.  Letters enter by runs:
   the stored frame.  A factor that grows to Delta moves to the front,
   conjugating the factors before it by tau, and the list is left weighted
   from there on.  So Delta is never stored once the list is left weighted.
+- A pair is left weighted by slides in insertion order (_left_weight_pair):
+  each entry of the second factor moves left in one inner loop, and the
+  scan then goes on from where that entry started, without testing again
+  the pairs it moved past.
 """
 
 from __future__ import annotations
@@ -53,32 +57,33 @@ def _left_weight_pair(u, v, pos, n):
     S(v) = descent set of v, F(u) = descent set of u^-1.  A generator index
     i (0-based) is slid when i is in S(v) but not in F(u); the slide keeps
     the product u v fixed: u gains the letter on the right, v loses it on
-    the left.  A slide at i changes only the tests at i-1, i and i+1, so the
-    scan resumes at i-1.  Mutates u and v in place; pos is scratch of
+    the left.  The slides go in insertion order: for start = 1 .. n-1, the
+    entry of v at position start moves left, one slide at a time, for as
+    long as the pair before it is a descent of v and not a descent of u^-1.
+    Every order of slides ends at the same pair, since a left-weighted u is
+    the meet of u v with Delta.  Mutates u and v in place; pos is scratch of
     length n.  Returns True when anything moved.
     """
     for x, y in enumerate(u):
         pos[y] = x
     changed = False
-    i = 0
-    while i < n - 1:
-        j = i + 1
+    for start in range(1, n):
+        j = start
+        i = j - 1
         # descent of v at i, non-descent of u^-1 at i
-        if v[i] > v[j] and pos[i] < pos[j]:
-            # u <- u . sigma_{i+1}: swap the values i, i+1 inside u
+        while i >= 0 and v[i] > v[j] and pos[i] < pos[j]:
+            # u <- u . sigma_{j}: swap the values i, j inside u
             a = pos[i]
             b = pos[j]
             u[a] = j
             u[b] = i
             pos[i] = b
             pos[j] = a
-            # v <- sigma_{i+1}^-1 . v: swap the entries at i, i+1
+            # v <- sigma_{j}^-1 . v: swap the entries at i, j
             v[i], v[j] = v[j], v[i]
             changed = True
-            if i:
-                i -= 1
-        else:
-            i = j
+            j = i
+            i -= 1
     return changed
 
 

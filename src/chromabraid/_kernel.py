@@ -46,14 +46,18 @@ def _alphabet(n):
     return frozenset(range(1 - n, n)) - {0}
 
 
+# the one type a letter or a permutation entry may have: not bool, not float
+_INT = frozenset((int,))
+
+
 def check_letters(n, letters):
     """letters as a tuple, refused unless each is an int k with 0 < |k| < n."""
     letters = tuple(letters)
     alphabet = _alphabet(n)
-    # the set test admits 1.0 as 1, and only an all-int sum is an int; the
-    # sum comes second because it raises on a string
-    if not alphabet.issuperset(letters) or type(sum(letters)) is not int:
-        bad = next(k for k in letters if k not in alphabet or type(k) is not int)
+    # the type test comes first: the set test admits True and 1.0 as 1, and
+    # raises on an unhashable letter
+    if not _INT.issuperset(map(type, letters)) or not alphabet.issuperset(letters):
+        bad = next(k for k in letters if type(k) is not int or k not in alphabet)
         raise IndexRangeError(f"letter {bad!r} out of range for {n} strands")
     return letters
 

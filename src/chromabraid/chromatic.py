@@ -183,7 +183,7 @@ def phi(w: BraidWord, G: SimpleGraph, ends=None) -> Permutation:
     _check_strands(w, G)
     if ends is None:
         ends = strand_walk(w.strands, w.letters)[1]
-    g = Permutation(tuple(p + 1 for p in ends))
+    g = Permutation([p + 1 for p in ends])
     if not is_automorphism(G, g):
         raise NotAutomorphismError(
             f"permutation {g.one_line()} is not an automorphism of the graph"

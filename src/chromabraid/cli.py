@@ -125,7 +125,7 @@ def cmd_invariants(args) -> int:
     w = parse_word(args.word, n)
     # one walk gives what perm_of, crossing_matrix and edge_lk would
     counts, ends = strand_walk(n, w.letters)
-    g = Permutation(tuple(p + 1 for p in ends))
+    g = Permutation([p + 1 for p in ends])
     pure = g.is_identity()
     print(f"strands: {n}")
     print(f"perm: {g.one_line()}")

@@ -13,16 +13,20 @@ equal_in_Bn does the least work that still gives an exact answer, in order:
 2. Reduce both words to their middles (words.reduced_middles): cancel each
    sigma_k^+-1 against the nearest earlier sigma_k^-+1 across letters that
    all commute with sigma_k, in linear time, then drop the longest common
-   prefix and suffix, since in any group p.a.s = p.b.s iff a = b.
-3. EQUAL when the two middles are the same letters.
-4. Otherwise compare the normal forms of the two middles.
+   prefix and suffix, since in any group p.a.s = p.b.s iff a = b.  Then
+   put each middle in Cartier-Foata order, which only swaps far letters,
+   and drop the common prefix and suffix again.
+3. EQUAL when the two middles are the same letters.  Every pair that far
+   commutations and inverse pairs alone turn into each other ends here.
+4. Otherwise compare the kernel's normal forms of the two middles, as the
+   (infimum, factors) pairs that _kernel.left_normal_form returns.
 
 normal_form takes no shortcut: verify-paper prints the forms of whole
 words.  The second, independent oracle,
 lkrep.equal_via_representation, is re-exported here.  It shares only the
 per-word cancellation of step 2 with this one and takes none of the pair
-steps (1, the common prefix and suffix, 3), so that it cross-checks this
-oracle rather than sharing its reduction.
+steps (1, the common prefix and suffix, the Foata order, 3), so that it
+cross-checks this oracle rather than sharing its reduction.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ class NormalForm:
 
 def normal_form(w: BraidWord) -> NormalForm:
     p, raw = left_normal_form(w.strands, w.letters)
-    factors = tuple(Permutation(tuple(x + 1 for x in f)) for f in raw)
+    factors = tuple(Permutation([x + 1 for x in f]) for f in raw)
     return NormalForm(w.strands, p, factors)
 
 
@@ -60,8 +64,8 @@ def _exponent_sum(letters: tuple[int, ...]) -> int:
 
 
 def equal_in_Bn(u: BraidWord, v: BraidWord) -> bool:
-    common_strands(u, v)
+    n = common_strands(u, v)
     if _exponent_sum(u.letters) != _exponent_sum(v.letters) or perm_of(u) != perm_of(v):
         return False
     a, b = reduced_middles(u, v)
-    return a == b or normal_form(a) == normal_form(b)
+    return a == b or left_normal_form(n, a.letters) == left_normal_form(n, b.letters)

@@ -165,7 +165,7 @@ def automorphisms(G: SimpleGraph) -> list[Permutation]:
                 raise AutBoundError(
                     f"automorphism search on {n} vertices found more than {MAX_AUTOMORPHISMS}"
                 )
-            found.append(Permutation(tuple(image[1:])))
+            found.append(Permutation(image[1:]))
             return
         for w in range(1, n + 1):
             if used[w] or deg[w] != deg[v]:
@@ -192,7 +192,7 @@ def dihedral_generators(n: int) -> tuple[Permutation, Permutation]:
     if n < 3:
         raise IndexRangeError(f"dihedral generators need n >= 3, got {n}")
     check_strands(n)
-    a = Permutation(tuple(i % n + 1 for i in range(1, n + 1)))
+    a = Permutation([i % n + 1 for i in range(1, n + 1)])
     b = Permutation((1,) + tuple(n + 2 - k for k in range(2, n + 1)))
     return a, b
 

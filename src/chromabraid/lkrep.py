@@ -16,8 +16,9 @@ equal_via_representation first replaces each word by what words._cancel_far
 leaves of it, cancelling each sigma_k^+-1 against the nearest earlier
 sigma_k^-+1 across letters that all commute with sigma_k.  This uses only
 the group axioms and far commutation, not Garside theory, and it is the one
-step the two oracles share: the common prefix and suffix, the same-letters
-shortcut and the exponent-sum and permutation checks stay in equal_in_Bn.
+step the two oracles share: the common prefix and suffix, the Cartier-Foata
+order of the middles, the same-letters shortcut and the exponent-sum and
+permutation checks stay in equal_in_Bn.
 It then decides equality of the reduced words in two stages.
 
 1. DISTINCT certificate.  Substituting fixed non-zero residues for q and t

@@ -279,7 +279,7 @@ def substitute(rel, table: dict[str, BraidWord], n: int) -> BraidWord:
             letters.extend(piece if exp > 0 else [-k for k in reversed(piece)])
     except KeyError as missing:
         raise ParseError(f"relator uses generator {missing.args[0]!r}, not in the table") from None
-    return BraidWord(n, tuple(letters))
+    return BraidWord(n, letters)
 
 
 def format_presentation(p: Presentation, dialect: str = "plain") -> str:

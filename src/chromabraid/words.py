@@ -7,8 +7,9 @@ same sequence as whitespace-separated decimal integers, e.g. "1 2 -1".
 
 Besides the free-monoid plumbing (parse, format, concat, inverse, power,
 and reduced_middles, which cancels inverse pairs, also across far-commuting
-letters, before dropping a common prefix and suffix) the module provides
-the named word families
+letters, drops a common prefix and suffix, puts what is left in
+Cartier-Foata order and drops a common prefix and suffix again) the module
+provides the named word families
 
     a_word(i, j)   = sigma_{j-1} ... sigma_{i+1} sigma_i          (empty for i = j)
     s_word(i, j)   = sigma_{j-1} ... sigma_{i+1} sigma_i^2 sigma_{i+1}^-1 ... sigma_{j-1}^-1
@@ -27,7 +28,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from ._kernel import check_letters, check_strands, crossing_counts
+from ._kernel import _INT, check_letters, check_strands, crossing_counts
 from .errors import IndexRangeError, ParseError, StrandMismatchError
 
 _TOKEN = re.compile(r"[+-]?[0-9]+")
@@ -44,14 +45,17 @@ class Permutation:
     image: tuple[int, ...]
 
     def __post_init__(self):
-        n = len(self.image)
-        # sorted admits 1.0 as 1; only an all-int sum is an int
-        if sorted(self.image) != list(range(1, n + 1)) or type(sum(self.image)) is not int:
-            raise IndexRangeError(f"not a permutation of 1..{n}: {self.image}")
+        image = tuple(self.image)
+        n = len(image)
+        # the type test comes first: sorted raises on mixed types, and
+        # admits True and 1.0 as 1
+        if not _INT.issuperset(map(type, image)) or sorted(image) != list(range(1, n + 1)):
+            raise IndexRangeError(f"not a permutation of 1..{n}: {image}")
+        object.__setattr__(self, "image", image)
 
     @staticmethod
     def identity(n: int) -> Permutation:
-        return Permutation(tuple(range(1, n + 1)))
+        return Permutation(range(1, n + 1))
 
     @property
     def size(self) -> int:
@@ -66,7 +70,7 @@ class Permutation:
             raise StrandMismatchError(
                 f"composing permutations of sizes {self.size} and {other.size}"
             )
-        return Permutation(tuple(other.image[v - 1] for v in self.image))
+        return Permutation([other.image[v - 1] for v in self.image])
 
     __mul__ = compose
 
@@ -74,7 +78,7 @@ class Permutation:
         image = [0] * self.size
         for i, v in enumerate(self.image, start=1):
             image[v - 1] = i
-        return Permutation(tuple(image))
+        return Permutation(image)
 
     def is_identity(self) -> bool:
         return all(v == i for i, v in enumerate(self.image, start=1))
@@ -94,7 +98,7 @@ class BraidWord:
     letters: tuple[int, ...] = ()
 
     def __post_init__(self):
-        check_letters(self.strands, self.letters)
+        object.__setattr__(self, "letters", check_letters(self.strands, self.letters))
         if self.strands < 1:
             raise IndexRangeError(f"strand count must be >= 1, got {self.strands}")
 
@@ -121,7 +125,7 @@ def parse_word(text: str, n: int) -> BraidWord:
                 f"letter {k} out of range for {n} strands (token {position})"
             )
         letters.append(k)
-    return BraidWord(n, tuple(letters))
+    return BraidWord(n, letters)
 
 
 def format_word(w: BraidWord) -> str:
@@ -138,7 +142,7 @@ def concat(u: BraidWord, v: BraidWord) -> BraidWord:
 
 
 def inverse(w: BraidWord) -> BraidWord:
-    return BraidWord(w.strands, tuple(-k for k in reversed(w.letters)))
+    return BraidWord(w.strands, [-k for k in reversed(w.letters)])
 
 
 def power(w: BraidWord, e: int) -> BraidWord:
@@ -181,15 +185,31 @@ def _cancel_far(n: int, letters: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(filter(None, out))
 
 
-def reduced_middles(u: BraidWord, v: BraidWord) -> tuple[BraidWord, BraidWord]:
-    """Middles a, b of u and v such that u = v in B_n iff a = b.
+def _foata(n: int, letters: tuple[int, ...]) -> tuple[int, ...]:
+    """letters in Cartier-Foata order (Cartier and Foata 1969).
 
-    Each word loses the inverse pairs _cancel_far finds, then the two lose
-    their longest common prefix and suffix: in any group p.a.s = p.b.s iff
-    a = b.
+    A letter's level is one more than the highest level among the earlier
+    letters of index |k|-1, |k| and |k|+1; the letters are sorted by
+    (level, letter).  Letters of one level have pairwise far indices, and a
+    letter never passes one of a near index, so this only reorders letters
+    that commute.  Two words that far commutations alone turn into each
+    other get the same order.
     """
-    n = common_strands(u, v)
-    a, b = _cancel_far(n, u.letters), _cancel_far(n, v.letters)
+    # top[g]: the highest level of a letter of index g so far; index 0 and
+    # n are sentinels for the neighbours of sigma_1 and sigma_{n-1}
+    top = [0] * (n + 1)
+    keyed = []
+    for k in letters:
+        g = abs(k)
+        level = max(top[g - 1], top[g], top[g + 1]) + 1
+        top[g] = level
+        keyed.append((level, k))
+    keyed.sort()
+    return tuple(k for _, k in keyed)
+
+
+def _strip(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """a and b without their longest common prefix and suffix."""
     m = min(len(a), len(b))
     i = 0
     while i < m and a[i] == b[i]:
@@ -197,7 +217,26 @@ def reduced_middles(u: BraidWord, v: BraidWord) -> tuple[BraidWord, BraidWord]:
     j = 0
     while j < m - i and a[-1 - j] == b[-1 - j]:
         j += 1
-    return BraidWord(n, a[i:len(a) - j]), BraidWord(n, b[i:len(b) - j])
+    return a[i:len(a) - j], b[i:len(b) - j]
+
+
+def reduced_middles(u: BraidWord, v: BraidWord) -> tuple[BraidWord, BraidWord]:
+    """Middles a, b of u and v such that u = v in B_n iff a = b.
+
+    Each word loses the inverse pairs _cancel_far finds, then the two lose
+    their longest common prefix and suffix: in any group p.a.s = p.b.s iff
+    a = b.  Each middle is then put in Cartier-Foata order, and the two
+    lose their common prefix and suffix again.  A cancelled word is reduced
+    in the group of far commutation, and two reduced words equal there
+    differ only by far commutations, so a pair equal there ends as two
+    empty middles.  Foata order on whole words, before the first strip, can
+    leave longer middles: (4, 1, 2, 1, 4) against (4, 2, 1, 2, 4) would
+    keep five letters each.
+    """
+    n = common_strands(u, v)
+    a, b = _strip(_cancel_far(n, u.letters), _cancel_far(n, v.letters))
+    a, b = _strip(_foata(n, a), _foata(n, b))
+    return BraidWord(n, a), BraidWord(n, b)
 
 
 def a_word(i: int, j: int, n: int) -> BraidWord:
@@ -205,7 +244,7 @@ def a_word(i: int, j: int, n: int) -> BraidWord:
     if not 1 <= i <= j <= n:
         raise IndexRangeError(f"a_word needs 1 <= i <= j <= n, got ({i}, {j}) on {n}")
     check_strands(n)
-    return BraidWord(n, tuple(range(j - 1, i - 1, -1)))
+    return BraidWord(n, range(j - 1, i - 1, -1))
 
 
 def s_word(i: int, j: int, n: int) -> BraidWord:
@@ -261,7 +300,7 @@ def perm_of(w: BraidWord) -> Permutation:
     image = [0] * n
     for pos, strand in enumerate(at):
         image[strand] = pos + 1
-    return Permutation(tuple(image))
+    return Permutation(image)
 
 
 @dataclass(frozen=True)

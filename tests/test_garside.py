@@ -280,22 +280,26 @@ class TestEquality:
         (4, (1, 2, -2, 3, 1, -1), (1, 3), True),  # the same after free reduction
         (4, (3, 1, 2), (3, 1, -1, 1, 2), True),
         (4, (1, 3, -1), (3,), True),     # sigma_1^-1 cancels sigma_1 across sigma_3
+        # sigma_1 sigma_3 sigma_5 against sigma_5 sigma_3 sigma_1 between
+        # different outer letters: equal only through far commutations
+        (7, (2, 1, 3, 5, 4), (2, 5, 3, 1, 4), True),
+        (7, (-2, 1, 3, 5, 6), (5, -2, 3, 1, 6), True),
     ])
     def test_shortcuts_decide_without_normal_forms(self, monkeypatch, n, u, v, equal):
-        def refuse(w):
-            raise AssertionError(f"normal_form called on {w.letters}")
+        def refuse(n, letters):
+            raise AssertionError(f"left_normal_form called on {letters}")
 
-        monkeypatch.setattr(garside, "normal_form", refuse)
+        monkeypatch.setattr(garside, "left_normal_form", refuse)
         assert equal_in_Bn(BraidWord(n, u), BraidWord(n, v)) is equal
 
     def test_normal_forms_see_only_the_middles(self, monkeypatch):
         seen = []
 
-        def recording(w):
-            seen.append(w.letters)
-            return normal_form(w)
+        def recording(n, letters):
+            seen.append(letters)
+            return _kernel.left_normal_form(n, letters)
 
-        monkeypatch.setattr(garside, "normal_form", recording)
+        monkeypatch.setattr(garside, "left_normal_form", recording)
         prefix, suffix = (3, -1, 3), (2, 3, 3)
         u = BraidWord(4, prefix + (1, 2, 1) + suffix)
         v = BraidWord(4, prefix + (2, 1, 2) + suffix)
@@ -317,8 +321,8 @@ class TestEquality:
 
 
 # letters outside 0 < |k| < 3: the kernel does not check them itself
-# the last three equal valid letters but are not ints
-OUT_OF_RANGE = [(0,), (3,), (-3,), (1.0,), ("1",), (1, 2.0)]
+# the last four equal valid letters but are not ints
+OUT_OF_RANGE = [(0,), (3,), (-3,), (1.0,), ("1",), (1, 2.0), (True,)]
 
 # sha256 of the kernel's normal forms on the cases below, computed with the
 # fixpoint sweep that the one-pass kernel replaced

@@ -3,16 +3,17 @@ replaced, kept here verbatim as the reference: every letter enters as its own
 factor, every sigma_i^-1 as Delta^-1 . (Delta sigma_i^-1) with a per-letter
 parity precount, and every Delta factor walks to the front one pair op at a
 time.  Also ties the shortcuts of equal_in_Bn (invariants, cancellation
-across far-commuting letters, common prefix and suffix) to a plain
-comparison of the two words' normal forms, and the linear cancellation pass
-to a quadratic backward scan."""
+across far-commuting letters, common prefix and suffix, Cartier-Foata order)
+to a plain comparison of the two words' normal forms, the linear
+cancellation pass to a quadratic backward scan, and the middles to the
+cancel-and-strip middles kept here as a length bound."""
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, strategies as st  # noqa: E402
 
-from chromabraid import _garside_py, words  # noqa: E402
+from chromabraid import _garside_py, garside, words  # noqa: E402
 from chromabraid.garside import equal_in_Bn, normal_form  # noqa: E402
 from chromabraid.words import BraidWord, a_word  # noqa: E402
 
@@ -191,6 +192,9 @@ def test_positive_runs_need_no_pair_op(n, pair_ops):
 @pytest.mark.parametrize("n, letters", [
     # sigma_2 ... sigma_{n-1} absorbed into the second factor sigma_1
     (4, (1, 1, 2, 3)),
+    # the same behind a third sigma_1: left weighting stops at the first
+    # pair it leaves unchanged
+    (4, (1, 1, 1, 2)),
     (8, (1, 1, 2, 3, 4, 5, 6, 7)),
     # one negative run, entered as Delta^-1 and one complement factor
     (4, (1, 2, 3, -1, -2)),
@@ -311,3 +315,78 @@ def test_cancel_far_keeps_the_braid(case):
     assert normal_form(BraidWord(n, reduced)) == normal_form(BraidWord(n, w))
     assert words._cancel_far(n, reduced) == reduced
     assert words._cancel_far(n, w + tuple(-k for k in reversed(w))) == ()
+
+
+def reference_middles(n, u, v):
+    """The middles as cancellation and one strip left them before the
+    Cartier-Foata order: the bound that reduced_middles never exceeds."""
+    a, b = words._cancel_far(n, u), words._cancel_far(n, v)
+    m = min(len(a), len(b))
+    i = 0
+    while i < m and a[i] == b[i]:
+        i += 1
+    j = 0
+    while j < m - i and a[-1 - j] == b[-1 - j]:
+        j += 1
+    return a[i:len(a) - j], b[i:len(b) - j]
+
+
+@given(kernel_words(max_len=60))
+@example((5, (4, 1, 2, 1, 4)))
+def test_foata_order_keeps_the_braid(case):
+    n, w = case
+    ordered = words._foata(n, w)
+    assert sorted(ordered) == sorted(w)
+    assert normal_form(BraidWord(n, ordered)) == normal_form(BraidWord(n, w))
+    assert words._foata(n, ordered) == ordered
+
+
+@given(kernel_words(), st.data())
+def test_foata_order_ignores_far_swaps(case, data):
+    n, w = case
+    far = [i for i in range(len(w) - 1) if abs(abs(w[i]) - abs(w[i + 1])) >= 2]
+    if far:
+        i = data.draw(st.sampled_from(far))
+        swapped = w[:i] + (w[i + 1], w[i]) + w[i + 2:]
+        assert words._foata(n, swapped) == words._foata(n, w)
+
+
+@st.composite
+def far_commuted_pairs(draw, max_n=8, max_len=30):
+    """A word and a copy changed only by swaps of adjacent far letters and by
+    inserted pairs k, -k (which later swaps can move apart), inside a shared
+    random prefix and suffix: equal in the group of far commutation."""
+    n = draw(st.integers(2, max_n))
+    w = list(draw(letters(n, max_len)))
+    v = list(w)
+    for _ in range(draw(st.integers(0, 12))):
+        pos = draw(st.integers(0, len(v)))
+        if draw(st.booleans()) and pos + 1 < len(v) and abs(abs(v[pos]) - abs(v[pos + 1])) >= 2:
+            v[pos], v[pos + 1] = v[pos + 1], v[pos]
+        else:
+            k = draw(st.integers(1, n - 1)) * draw(st.sampled_from((1, -1)))
+            v[pos:pos] = [k, -k]
+    p, s = draw(letters(n, 10)), draw(letters(n, 10))
+    return BraidWord(n, p + tuple(w) + s), BraidWord(n, p + tuple(v) + s)
+
+
+@given(st.one_of(word_pairs(max_n=8, max_len=30), rewrite_pairs(max_n=8),
+                 twisted_pairs(), framed_pairs()))
+@example((BraidWord(5, (4, 1, 2, 1, 4)), BraidWord(5, (4, 2, 1, 2, 4))))
+def test_middles_are_never_longer_than_one_strip(pair):
+    u, v = pair
+    a, b = words.reduced_middles(u, v)
+    ref_a, ref_b = reference_middles(u.strands, u.letters, v.letters)
+    assert len(a.letters) <= len(ref_a) and len(b.letters) <= len(ref_b)
+
+
+@given(far_commuted_pairs())
+# sigma_1 sigma_3 sigma_5 against sigma_5 sigma_3 sigma_1 between different letters
+@example((BraidWord(7, (-2, 1, 3, 5, 6)), BraidWord(7, (5, -2, 3, 1, 6))))
+def test_far_commuted_pairs_need_no_normal_form(pair):
+    """Equal in the group of far commutation: EQUAL from the middles alone,
+    which is also the whole-word normal-form verdict."""
+    assert normal_form(pair[0]) == normal_form(pair[1])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(garside, "left_normal_form", None)
+        assert equal_in_Bn(*pair)

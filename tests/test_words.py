@@ -61,12 +61,13 @@ class TestParsing:
             parse_word(bad, 9)
 
     def test_zero_is_out_of_range(self):
-        with pytest.raises(IndexRangeError):
-            parse_word("0", 4)
+        with pytest.raises(IndexRangeError, match=r"^letter 0 out of range for 4 strands \(token 2\)$"):
+            parse_word("1 0", 4)
 
     @pytest.mark.parametrize("text", ["3", "-3"])
     def test_index_out_of_range(self, text):
-        with pytest.raises(IndexRangeError):
+        # the parser names the token, which BraidWord's own check cannot
+        with pytest.raises(IndexRangeError, match=rf"^letter {text} out of range for 3 strands \(token 1\)$"):
             parse_word(text, 3)
 
     def test_constructor_validates(self):
@@ -94,15 +95,27 @@ class TestIntegers:
             (lambda: _kernel.strand_walk(3, (1.0,)), "letter 1.0 out of range for 3 strands"),
             (lambda: Permutation((1.0, 2)), r"not a permutation of 1..2: \(1.0, 2\)"),
             (lambda: power(BraidWord(3, (1,)), 1.5), "power needs an integer exponent, got 1.5"),
+            # a bool equals 0 or 1, and format_word would print it as True
+            (lambda: BraidWord(3, (True, -1)), "letter True out of range for 3 strands"),
+            (lambda: BraidWord(3, ([1],)), r"letter \[1\] out of range for 3 strands"),
+            (lambda: Permutation((True, 2)), r"not a permutation of 1..2: \(True, 2\)"),
+            (lambda: Permutation(("1", 2)), r"not a permutation of 1..2: \('1', 2\)"),
         ],
         ids=[
             "letter", "second-letter", "string-letter", "strands", "parse_word",
-            "strand_walk", "Permutation", "power",
+            "strand_walk", "Permutation", "power", "bool-letter", "list-letter",
+            "Permutation-bool", "Permutation-string",
         ],
     )
     def test_refused(self, build, message):
         with pytest.raises(IndexRangeError, match=f"^{message}$"):
             build()
+
+    def test_values_are_stored_as_tuples(self):
+        w, p = BraidWord(3, [1, -2]), Permutation([2, 1])
+        assert w.letters == (1, -2) and p.image == (2, 1)
+        assert w == BraidWord(3, (1, -2)) and hash(w) == hash(BraidWord(3, (1, -2)))
+        assert p == Permutation((2, 1)) and hash(p) == hash(Permutation((2, 1)))
 
 
 class TestStrandCap:
@@ -151,6 +164,10 @@ class TestPermutation:
         p = Permutation((2, 1, 3))
         q = Permutation((1, 3, 2))
         assert (p * q).image == (3, 1, 2)
+
+    def test_compose_needs_one_size(self):
+        with pytest.raises(StrandMismatchError, match="^composing permutations of sizes 3 and 2$"):
+            Permutation((2, 1, 3)) * Permutation((1, 2))
 
     def test_inverse(self):
         p = Permutation((3, 1, 2))
