@@ -192,13 +192,13 @@ def test_positive_runs_need_no_pair_op(n, pair_ops):
 @pytest.mark.parametrize("n, letters", [
     # sigma_2 ... sigma_{n-1} absorbed into the second factor sigma_1
     (4, (1, 1, 2, 3)),
-    # the same behind a third sigma_1: left weighting stops at the first
-    # pair it leaves unchanged
-    (4, (1, 1, 1, 2)),
     (8, (1, 1, 2, 3, 4, 5, 6, 7)),
     # one negative run, entered as Delta^-1 and one complement factor
     (4, (1, 2, 3, -1, -2)),
     (5, (1, 2, 3, 4, -1, -2, -3)),
+    # sigma_2 absorbed behind a third sigma_1: left weighting stops at the
+    # first pair it leaves unchanged
+    (4, (1, 1, 1, 2)),
 ])
 def test_runs_need_at_most_one_pair_op(n, letters, pair_ops):
     """Letters absorbed into the last factor are left weighted once per run,
