@@ -8,26 +8,25 @@ cycle-conditioned group with its dihedral quotient.
 The hot kernels (normal-form sliding, crossing simulation) are pure
 Python, in chromabraid._garside_py; chromabraid.KERNEL is always "pure".
 
-Every cache in the package, with its key and its bound:
+Every cache in the package, with its key and its bound: seven module-level
+caches, then the two values each graph computes once and keeps:
 
 - _kernel._alphabet: key n; bound 64 (LRU).
-- chromatic._edge_index: key a graph; bound graphs._GRAPH_CACHE_SIZE (LRU).
 - chromatic.dihedral_lift_counts: key an element of D_n; bound 2n entries per n.
 - extension.compute_cocycle: key n; bound one table per n up to MAX_CYCLE_ORDER.
 - extension._product_table: key n; bound one table per n up to MAX_CYCLE_ORDER.
 - graphs.cycle: key n; bound one graph per n.
-- graphs.is_triangle_free: key a graph; bound _GRAPH_CACHE_SIZE (LRU).
-- graphs._dihedral_perms: key n; bound one tuple of 2n permutations per n.
-- graphs._perm_table: key n; bound one dict of 2n elements per n.
+- graphs._dihedral: key n; bound one tuple of 2n permutations and one dict of 2n elements per n.
 - lkrep._column_rules: key (n, letter); bound 2n - 2 entries per n.
-- lkrep._column_values: key (n, letter); bound 2n - 2 entries per n.
+- graphs.SimpleGraph.edge_index: key the graph; bound freed with the graph.
+- graphs.SimpleGraph.triangle_free: key the graph; bound freed with the graph.
 
 The caches bounded per n hold a fixed amount for each strand count, so the
 range of strand counts a process uses bounds them (_kernel.MAX_STRANDS caps
 n).  The largest per n are compute_cocycle and the product table mul and inv
 read: 4n^2 entries of n coordinates each, refused above
-extension.MAX_CYCLE_ORDER.  The graph-keyed caches keep the most recently used
-graphs, since their keys are whatever graphs a caller builds.
+extension.MAX_CYCLE_ORDER.  The per-graph entries are attributes of the graph
+(functools.cached_property), so they live exactly as long as it does.
 
 Every resource limit in the package is one constant compared with its input,
 before anything sized by that input is built, except MAX_AUTOMORPHISMS, which

@@ -46,7 +46,6 @@ from .errors import (
 )
 from .garside import NormalForm, normal_form
 from .graphs import (
-    _GRAPH_CACHE_SIZE,
     DihedralElement,
     SimpleGraph,
     cycle,
@@ -67,12 +66,15 @@ from .words import (
 
 @dataclass(frozen=True)
 class EdgeVector:
-    """Integer vector indexed by the sorted edge list of its graph."""
+    """Integer vector indexed by the sorted edge list of its graph; the
+    coordinates are stored as a tuple, whatever sequence they came in."""
 
     graph: SimpleGraph
     coords: tuple[int, ...]
 
     def __post_init__(self):
+        if type(self.coords) is not tuple:  # the hot paths pass tuples and skip the copy
+            object.__setattr__(self, "coords", tuple(self.coords))
         if len(self.coords) != len(self.graph.edges):
             raise GraphInputError(
                 f"vector length {len(self.coords)} != edge count {len(self.graph.edges)}"
@@ -96,18 +98,12 @@ class EdgeVector:
         return "[" + ",".join(str(c) for c in self.coords) + "]"
 
 
-@lru_cache(maxsize=_GRAPH_CACHE_SIZE)
-def _edge_index(G: SimpleGraph) -> dict[tuple[int, int], int]:
-    """Edge -> coordinate, for the last _GRAPH_CACHE_SIZE graphs."""
-    return {e: idx for idx, e in enumerate(G.edges_sorted())}
-
-
 def zero_vector(G: SimpleGraph) -> EdgeVector:
     return EdgeVector(G, (0,) * len(G.edges))
 
 
 def unit_vector(G: SimpleGraph, i: int, j: int) -> EdgeVector:
-    idx = _edge_index(G).get((min(i, j), max(i, j)))
+    idx = G.edge_index.get((min(i, j), max(i, j)))
     if idx is None:
         raise GraphInputError(f"({i}, {j}) is not an edge of the graph")
     coords = [0] * len(G.edges)
@@ -211,7 +207,8 @@ def dihedral_lift_counts(d: DihedralElement) -> tuple[int, ...]:
 
 def _is_cycle(G: SimpleGraph) -> bool:
     n = G.vertices
-    return n >= 4 and G.edges == cycle(n).edges
+    # the edge count first, so cycle(n) is built and cached only for a likely cycle
+    return n >= 4 and len(G.edges) == n and G.edges == cycle(n).edges
 
 
 def section(g: Permutation, G: SimpleGraph) -> BraidWord:
@@ -249,7 +246,7 @@ def i_star(w: BraidWord, G: SimpleGraph) -> ChromaticElement:
     n = G.vertices
     m, ends = strand_walk(n, w.letters)
     g = phi(w, G, ends)
-    edges = _edge_index(G)
+    edges = G.edge_index
     if _is_cycle(G):
         lift = dihedral_lift_counts(DihedralElement.from_perm(n, g))
     else:

@@ -40,7 +40,6 @@ from types import MappingProxyType
 from .chromatic import (
     ChromaticElement,
     EdgeVector,
-    _edge_index,
     dihedral_lift_counts,
     halved_counts,
     i_star,
@@ -60,7 +59,7 @@ MAX_CYCLE_ORDER = 32
 def _pullbacks(n: int) -> dict[tuple[int, ...], tuple[int, ...]]:
     """Per dihedral permutation g of cycle(n), keyed by its image: the index
     of the edge g(e) for each edge e in sorted order."""
-    index = _edge_index(cycle(n))
+    index = cycle(n).edge_index
     table = {}
     for d in DihedralElement.all_elements(n):
         g = d.to_perm()

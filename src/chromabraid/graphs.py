@@ -5,18 +5,12 @@ dihedral group that Aut of a cycle graph realizes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 from ._kernel import check_strands
 from .errors import AutBoundError, GraphInputError, IndexRangeError
 from .words import Permutation
-
-# The two caches keyed by a graph, is_triangle_free and chromatic._edge_index,
-# keep this many most recently used graphs: their keys are whatever graphs a
-# library caller builds, so unlike the caches keyed by a strand count they are
-# not bounded by the strand range.  verify-paper's standard suite uses 24 graphs.
-_GRAPH_CACHE_SIZE = 64
 
 # The most vertices automorphisms searches, since the search is exhaustive.
 MAX_AUT_VERTICES = 10
@@ -28,7 +22,8 @@ MAX_AUTOMORPHISMS = 40320
 
 @dataclass(frozen=True)
 class SimpleGraph:
-    """Undirected simple graph on 1..vertices; each edge is a pair i < j."""
+    """Undirected simple graph on 1..vertices; each edge is a pair i < j, and
+    the edges are stored as a frozenset whatever collection they came in."""
 
     vertices: int
     edges: frozenset[tuple[int, int]]
@@ -38,7 +33,9 @@ class SimpleGraph:
         if n < 0:
             raise GraphInputError(f"vertex count must be >= 0, got {n}")
         check_strands(n)
-        for e in self.edges:
+        # a one-shot iterator is read once, by the checks and the frozenset
+        edges = self.edges if isinstance(self.edges, frozenset) else tuple(self.edges)
+        for e in edges:
             if not (isinstance(e, tuple) and len(e) == 2 and all(isinstance(v, int) for v in e)):
                 raise GraphInputError(f"edge {e!r} is not a pair of integers")
             i, j = e
@@ -48,12 +45,27 @@ class SimpleGraph:
                 raise GraphInputError(f"edge ({i}, {j}) outside vertex range 1..{n}")
             if i > j:
                 raise GraphInputError(f"edge ({i}, {j}) is not written smaller vertex first")
+        object.__setattr__(self, "edges", frozenset(edges))
+
+    @cached_property
+    def edge_index(self) -> dict[tuple[int, int], int]:
+        """Edge -> its coordinate in sorted edge order."""
+        return {e: idx for idx, e in enumerate(sorted(self.edges))}
+
+    @cached_property
+    def triangle_free(self) -> bool:
+        # a triangle i < j < k shows at its edge (i, j): k is a later
+        # neighbour of both
+        later = [set() for _ in range(self.vertices + 1)]
+        for i, j in self.edges:
+            later[i].add(j)
+        return all(later[i].isdisjoint(later[j]) for i, j in self.edges)
 
     def has_edge(self, i: int, j: int) -> bool:
         return (min(i, j), max(i, j)) in self.edges
 
     def edges_sorted(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self.edges))
+        return tuple(self.edge_index)
 
     def degree(self, v: int) -> int:
         return sum(1 for e in self.edges if v in e)
@@ -119,16 +131,8 @@ def is_3_circuit(G: SimpleGraph, i: int, j: int, k: int) -> bool:
     return G.has_edge(i, j) and G.has_edge(j, k) and G.has_edge(i, k)
 
 
-@lru_cache(maxsize=_GRAPH_CACHE_SIZE)
 def is_triangle_free(G: SimpleGraph) -> bool:
-    adj = [set() for _ in range(G.vertices + 1)]
-    for i, j in G.edges:
-        adj[i].add(j)
-        adj[j].add(i)
-    for i, j in G.edges:
-        if not adj[i].isdisjoint(adj[j]):
-            return False
-    return True
+    return G.triangle_free
 
 
 def is_automorphism(G: SimpleGraph, g: Permutation) -> bool:
@@ -242,7 +246,7 @@ class DihedralElement:
         return self.rotation == 0 and not self.reflected
 
     def to_perm(self) -> Permutation:
-        return _dihedral_perms(self.order)[self.rotation + self.order * self.reflected]
+        return _dihedral(self.order)[0][self.rotation + self.order * self.reflected]
 
     @staticmethod
     def all_elements(n: int) -> list[DihedralElement]:
@@ -252,7 +256,7 @@ class DihedralElement:
 
     @staticmethod
     def from_perm(n: int, g: Permutation) -> DihedralElement:
-        d = _perm_table(n).get(g.image)
+        d = _dihedral(n)[1].get(g.image)
         if d is None:
             raise IndexRangeError(
                 f"permutation {g.one_line()} is not dihedral on cycle({n})"
@@ -261,17 +265,12 @@ class DihedralElement:
 
 
 @lru_cache(maxsize=None)
-def _dihedral_perms(n: int) -> tuple[Permutation, ...]:
-    """The permutations a^k b^e in all_elements order: index k + n e."""
+def _dihedral(n: int) -> tuple[tuple[Permutation, ...], dict[tuple[int, ...], DihedralElement]]:
+    """The permutations a^k b^e in all_elements order (index k + n e), and
+    the element of each permutation, keyed by its image."""
     a, b = dihedral_generators(n)
     rotations = [Permutation.identity(n)]
     for _ in range(n - 1):
         rotations.append(rotations[-1] * a)
-    return tuple(rotations + [g * b for g in rotations])
-
-
-@lru_cache(maxsize=None)
-def _perm_table(n: int) -> dict[tuple[int, ...], DihedralElement]:
-    return {
-        g.image: d for d, g in zip(DihedralElement.all_elements(n), _dihedral_perms(n))
-    }
+    perms = tuple(rotations + [g * b for g in rotations])
+    return perms, {g.image: d for d, g in zip(DihedralElement.all_elements(n), perms)}

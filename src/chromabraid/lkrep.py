@@ -102,11 +102,21 @@ _MINUS_TQ2_INV = ((-1, -2, -1),)
 _TINV_QINV_MINUS_QINV2 = ((1, -1, -1), (-1, -2, -1))
 _MINUS_QINV_MINUS_QINV2 = ((-1, -1, 0), (1, -2, 0))
 
+# Each monomial list evaluated at the certificate's point modulo _P.
+_VALUE = {
+    monos: sum(coef * pow(_AT_Q, dq, _P) * pow(_AT_T, dt, _P) for coef, dq, dt in monos) % _P
+    for monos in (
+        _ONE, _Q, _Q2_MINUS_Q, _ONE_MINUS_Q, _MINUS_TQ2, _MINUS_Q2_MINUS_Q_T,
+        _QINV, _ONE_MINUS_QINV, _MINUS_TQ2_INV, _TINV_QINV_MINUS_QINV2, _MINUS_QINV_MINUS_QINV2,
+    )
+}
+
 
 @lru_cache(maxsize=None)
 def _column_rules(n: int, letter: int):
     """Non-identity columns of the matrix of sigma_letter: a list of
-    (column index, ((row index, monomials), ...)) entries."""
+    (column index, ((row index, monomials, value), ...)) entries, where value
+    is the monomials evaluated at the certificate's point (_VALUE)."""
     i = abs(letter)
     idx = {pair: c for c, pair in enumerate(combinations(range(1, n + 1), 2))}
     rules = []
@@ -149,22 +159,8 @@ def _column_rules(n: int, letter: int):
                 )
             else:
                 continue
-        rules.append((c, tuple((idx[row], monos) for row, monos in terms)))
+        rules.append((c, tuple((idx[row], monos, _VALUE[monos]) for row, monos in terms)))
     return tuple(rules)
-
-
-@lru_cache(maxsize=None)
-def _column_values(n: int, letter: int):
-    """_column_rules(n, letter) with each monomial list evaluated at the
-    certificate's point modulo _P."""
-    return tuple(
-        (c, tuple(
-            (s, sum(coef * pow(_AT_Q, dq, _P) * pow(_AT_T, dt, _P)
-                    for coef, dq, dt in monos) % _P)
-            for s, monos in terms
-        ))
-        for c, terms in _column_rules(n, letter)
-    )
 
 
 def _certificate(w: BraidWord) -> list[int]:
@@ -173,8 +169,8 @@ def _certificate(w: BraidWord) -> list[int]:
     row = [pow(_AT_Y, r + 1, _P) for r in range(m)]
     for letter in w.letters:
         new_cols = [
-            (c, sum(row[s] * value for s, value in terms) % _P)
-            for c, terms in _column_values(w.strands, letter)
+            (c, sum(row[s] * value for s, _, value in terms) % _P)
+            for c, terms in _column_rules(w.strands, letter)
         ]
         for c, value in new_cols:
             row[c] = value
@@ -200,7 +196,7 @@ def _packed_rules(n: int, letter: int, budget: int):
             copies.append((c, terms[0][0]))
             continue
         packed = []
-        for s, monos in terms:
+        for s, monos, _ in terms:
             mult = sum(coef << (bits * (dq + 2)) for coef, dq, _ in monos)
             zeros = (mult & -mult).bit_length() - 1
             shift = zeros + (monos[0][2] + 1) * row * bits

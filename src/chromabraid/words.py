@@ -264,13 +264,15 @@ def e_word(k: int, l: int, n: int) -> BraidWord:
 
 
 def psi_r(n: int) -> int:
-    """Last index of the reflection's transposition list: n/2 for even n, (n+1)/2 for odd."""
-    return n // 2 if n % 2 == 0 else (n + 1) // 2
+    """Last index of the reflection's transposition list: (n+1) // 2, which is
+    n/2 for even n and (n+1)/2 for odd."""
+    return (n + 1) // 2
 
 
 def psi_s(n: int) -> int:
-    """Partner of psi_r under the reflection: (n+4)/2 for even n, (n+3)/2 for odd."""
-    return (n + 4) // 2 if n % 2 == 0 else (n + 3) // 2
+    """Partner of psi_r under the reflection: n // 2 + 2, which is (n+4)/2 for
+    even n and (n+3)/2 for odd."""
+    return n // 2 + 2
 
 
 def psi_a_word(n: int) -> BraidWord:

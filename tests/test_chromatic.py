@@ -91,9 +91,22 @@ class TestEdgeVector:
         with pytest.raises(GraphInputError):
             EdgeVector(cycle(4), (1, 2))
 
+    def test_coords_are_stored_as_a_tuple(self):
+        # a list was stored as given, and the vector did not hash
+        v = EdgeVector(cycle(4), [0, 0, 1, 0])
+        assert v.coords == (0, 0, 1, 0)
+        assert v == unit_vector(cycle(4), 2, 3)
+        assert hash(v) == hash(unit_vector(cycle(4), 2, 3))
+        coords = (1, 2, 3, 4)
+        assert EdgeVector(cycle(4), coords).coords is coords
+
     def test_mixed_graph_addition_rejected(self):
         with pytest.raises(GraphInputError):
             unit_vector(cycle(4), 1, 2) + zero_vector(path(4))
+        # the same edge count: only the graph test refuses it
+        paw = from_edge_list(4, [(1, 2), (1, 3), (2, 3), (3, 4)])
+        with pytest.raises(GraphInputError, match="^adding edge vectors over different graphs$"):
+            unit_vector(cycle(4), 1, 2) + zero_vector(paw)
 
     def test_non_edge_unit_rejected(self):
         with pytest.raises(GraphInputError):
@@ -215,6 +228,21 @@ class TestIStar:
     def test_out_of_scope(self):
         with pytest.raises(OutOfScopeError):
             i_star(BraidWord(3), complete(3))
+
+    def test_strand_mismatch(self):
+        # checked before the graph's scope
+        for G in (cycle(4), complete(4)):
+            with pytest.raises(StrandMismatchError):
+                i_star(BraidWord(5), G)
+
+    def test_off_a_cycle_builds_no_cycle(self):
+        # the cycle test built cycle(n) for every graph it was asked about,
+        # and cycle's unbounded cache kept each one
+        cycle.cache_clear()
+        for n in (300, 299):
+            i_star(BraidWord(n), path(n))
+        i_star(s_word(1, 2, 5), star(5))
+        assert cycle.cache_info().currsize == 0
 
     def test_rejects_non_automorphism_permutation(self):
         with pytest.raises(NotAutomorphismError):

@@ -129,7 +129,7 @@ class TestCocycle:
         assert checked == 2544
 
     def test_range(self):
-        with pytest.raises(IndexRangeError):
+        with pytest.raises(IndexRangeError, match="^compute_cocycle needs n >= 4, got 3$"):
             compute_cocycle(3)
 
     def test_table_is_read_only(self):
@@ -195,6 +195,11 @@ class TestGroupLaws:
             mul(y, y)
         with pytest.raises(StrandMismatchError):
             inv(y)
+        # elements over the triangle cycle(3) pass the graph test and meet
+        # the cocycle's order check
+        z = ChromaticElement(zero_vector(cycle(3)), Permutation.identity(3))
+        with pytest.raises(IndexRangeError, match="^compute_cocycle needs n >= 4, got 3$"):
+            mul(z, z)
 
     def test_vector_graph_validation(self):
         with pytest.raises(StrandMismatchError):
@@ -318,11 +323,11 @@ class TestToElement:
                 assert to_element(concat(u, w), n) == mul(to_element(u, n), to_element(w, n))
 
     def test_strand_mismatch(self):
-        with pytest.raises(StrandMismatchError):
+        with pytest.raises(StrandMismatchError, match="^word on 5 strands, expected 4$"):
             to_element(BraidWord(5), 4)
 
     def test_small_order(self):
-        with pytest.raises(IndexRangeError):
+        with pytest.raises(IndexRangeError, match="^to_element needs n >= 4, got 3$"):
             to_element(BraidWord(3), 3)
 
 

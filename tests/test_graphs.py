@@ -1,21 +1,21 @@
 """Graphs, automorphism search against a brute-force oracle, dihedral algebra."""
 
+import gc
 import random
 import re
+import weakref
 from itertools import combinations, permutations
 
 import pytest
 
 from chromabraid import graphs
-from chromabraid.chromatic import _edge_index
 from chromabraid._kernel import MAX_STRANDS
 from chromabraid.errors import AutBoundError, GraphInputError, IndexRangeError, ResourceLimitError
 from chromabraid.graphs import (
-    _GRAPH_CACHE_SIZE,
     MAX_AUT_VERTICES,
     MAX_AUTOMORPHISMS,
     DihedralElement,
-    _dihedral_perms,
+    _dihedral,
     SimpleGraph,
     automorphisms,
     complete,
@@ -238,13 +238,29 @@ class TestAutomorphisms:
             automorphisms(complete(9))
         assert len(built) == MAX_AUTOMORPHISMS
 
-    def test_graph_keyed_caches_are_bounded(self):
+    def test_graph_data_lives_on_the_graph(self):
+        G = from_edge_list(6, [(1, 2), (2, 3), (4, 6)])
+        index = G.edge_index
+        assert index == {(1, 2): 0, (2, 3): 1, (4, 6): 2}
+        assert G.edge_index is index  # built once
+        assert G.edges_sorted() == ((1, 2), (2, 3), (4, 6))
+        assert is_triangle_free(G)
+        # no cache outside the graph keeps it alive
+        ref = weakref.ref(G)
+        del G, index
+        gc.collect()
+        assert ref() is None
+
+    def test_equal_graphs_built_apart_agree(self):
         edges = list(combinations(range(1, 7), 2))
-        for k in range(2 * _GRAPH_CACHE_SIZE):
-            G = from_edge_list(6, [e for b, e in enumerate(edges) if k >> b & 1])
-            automorphisms(G)
-            _edge_index(G)
-        assert _edge_index.cache_info().currsize == _GRAPH_CACHE_SIZE
+        for k in range(0, 2**15, 97):
+            pairs = [e for b, e in enumerate(edges) if k >> b & 1]
+            G, H = from_edge_list(6, pairs), from_edge_list(6, reversed(pairs))
+            assert G is not H and G == H
+            assert G.edge_index == H.edge_index
+            assert is_triangle_free(G) == is_triangle_free(H)
+            triangles = (t for t in combinations(range(1, 7), 3) if is_3_circuit(G, *t))
+            assert is_triangle_free(G) == (next(triangles, None) is None)
 
     def test_is_automorphism_agrees(self):
         G = path(4)
@@ -321,7 +337,7 @@ class TestDihedral:
             g = DihedralElement(n, 1, True).to_perm()
             assert g.image == tuple(range(n, 0, -1))  # a b reverses 1..n
         finally:
-            _dihedral_perms.cache_clear()  # 2n permutations of n points
+            _dihedral.cache_clear()  # 2n permutations of n points
 
     def test_validation(self):
         with pytest.raises(IndexRangeError):
@@ -355,3 +371,24 @@ class TestHashing:
         G = SimpleGraph(3, frozenset({(1, 2)}))
         assert G.has_edge(2, 1)
         assert not G.has_edge(1, 3)
+
+    @pytest.mark.parametrize("edges", [{(1, 2)}, [(1, 2)], ((1, 2),), iter([(1, 2)])],
+                             ids=["set", "list", "tuple", "iterator"])
+    def test_edges_are_stored_as_a_frozenset(self, edges):
+        # a set or list was stored as given: the graph did not hash, and
+        # is_triangle_free raised TypeError from its cache
+        G = SimpleGraph(3, edges)
+        assert G.edges == frozenset({(1, 2)})
+        assert type(G.edges) is frozenset
+        assert hash(G) == hash(from_edge_list(3, [(1, 2)]))
+        assert is_triangle_free(G)
+
+    def test_empty_vertex_set(self):
+        G = SimpleGraph(0, frozenset())
+        assert G == from_edge_list(0, [])
+        assert G.edges_sorted() == ()
+        assert is_triangle_free(G)
+
+    def test_frozen_edges_are_kept(self):
+        edges = frozenset({(1, 2), (2, 3)})
+        assert SimpleGraph(3, edges).edges is edges

@@ -50,7 +50,7 @@ def reference_lk_matrix(w, length_budget=None):
         new_cols = []
         for c, terms in lkrep._column_rules(n, letter):
             acc = np.zeros_like(box[:, c])
-            for s, monos in terms:
+            for s, monos, _ in terms:
                 for coef, dq, dt in monos:
                     _shift_add(acc, box[:, s], coef, dq, dt)
             new_cols.append((c, acc))
@@ -143,7 +143,43 @@ def test_column_rules_weigh_at_most_five():
         for i in range(1, n):
             for letter in (i, -i):
                 for _, terms in lkrep._column_rules(n, letter):
-                    assert sum(abs(coef) for _, monos in terms for coef, _, _ in monos) <= 5
+                    assert sum(abs(coef) for _, monos, _ in terms for coef, _, _ in monos) <= 5
+
+
+def test_packed_matrix_has_one_column_per_pair():
+    for n in range(2, 7):
+        m = n * (n - 1) // 2
+        cols, offsets = lkrep._packed_matrix(BraidWord(n, (1, -1)), 2)
+        assert len(cols) == len(offsets) == m
+        assert all(len(col) == m for col in cols)
+
+
+def test_lone_one_rules_are_copies():
+    # x_c <- x_s keeps its source's int and offset instead of a shifted sum
+    for n in range(2, 9):
+        for i in range(1, n):
+            for letter in (i, -i):
+                copies, sums = lkrep._packed_rules(n, letter, 4)
+                rules = lkrep._column_rules(n, letter)
+                lone_ones = [(c, terms[0][0]) for c, terms in rules
+                             if len(terms) == 1 and terms[0][1] == lkrep._ONE]
+                assert copies == lone_ones
+                assert len(copies) + len(sums) == len(rules)
+
+
+def test_rule_values_are_the_monomials_at_the_point():
+    # the certificate reads each term's value instead of its monomials
+    p = lkrep._P
+    for n in range(2, 9):
+        for i in range(1, n):
+            for letter in (i, -i):
+                for _, terms in lkrep._column_rules(n, letter):
+                    for _, monos, value in terms:
+                        at_point = sum(
+                            coef * pow(lkrep._AT_Q, dq, p) * pow(lkrep._AT_T, dt, p)
+                            for coef, dq, dt in monos
+                        )
+                        assert value == at_point % p
 
 
 @given(sized_words())

@@ -247,6 +247,13 @@ class TestWordFamilies:
         assert (psi_r(6), psi_s(6)) == (3, 5)
         assert (psi_r(7), psi_s(7)) == (4, 5)
 
+    def test_psi_parameters_match_the_parity_definitions(self):
+        for n in range(4, 201):
+            if n % 2 == 0:
+                assert (psi_r(n), psi_s(n)) == (n // 2, (n + 4) // 2)
+            else:
+                assert (psi_r(n), psi_s(n)) == ((n + 1) // 2, (n + 3) // 2)
+
     def test_psi_b_factors(self):
         assert psi_b_word(4).letters == e_word(2, 4, 4).letters
         assert psi_b_word(5).letters == concat(e_word(2, 5, 5), e_word(3, 4, 5)).letters
