@@ -1,7 +1,7 @@
 """The Garside kernel: left-weighted normal form and the strand walk.
 
-This is the only implementation; _kernel.py checks the letters before
-calling it, since nothing here does.
+This is the only implementation; _kernel.py passes it only checked
+letters, since nothing here checks them.
 
 Conventions inside the kernel: permutations are 0-based one-line lists
 (f[x] = image of x), composed left to right, and a factor f stands for the
@@ -212,8 +212,3 @@ def strand_walk(n, letters):
     for pos, strand in enumerate(at):
         ends[strand] = pos
     return m, ends
-
-
-def crossing_counts(n, letters):
-    """The counts of strand_walk alone."""
-    return strand_walk(n, letters)[0]

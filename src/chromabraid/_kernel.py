@@ -2,11 +2,12 @@
 
 The kernel does not check its letters: unchecked, it reads letter 0 as
 generator index -1 and returns (1, []) for (0,) on n=3.  check_letters is
-the one letter check, called by BraidWord and by every entry point here
-before the kernel runs: it refuses a letter that is not an int k with
+the one letter check: it refuses a letter that is not an int k with
 0 < |k| < n, and through _alphabet a strand count that check_strands
-refuses.  left_normal_form also refuses a word whose letters times strands
-exceed MAX_FORM_CELLS.
+refuses.  It runs in two places.  BraidWord runs it when a word is built,
+so strand_walk and crossing_counts take a BraidWord and trust its letters.
+left_normal_form takes raw letters and runs it itself, and also refuses a
+word whose letters times strands exceed MAX_FORM_CELLS.
 """
 
 from __future__ import annotations
@@ -73,9 +74,10 @@ def left_normal_form(n, letters):
     return _impl.left_normal_form(n, letters)
 
 
-def crossing_counts(n, letters):
-    return _impl.crossing_counts(n, check_letters(n, letters))
+def strand_walk(w):
+    """The kernel's strand walk over a BraidWord, whose letters are checked."""
+    return _impl.strand_walk(w.strands, w.letters)
 
 
-def strand_walk(n, letters):
-    return _impl.strand_walk(n, check_letters(n, letters))
+def crossing_counts(w):
+    return strand_walk(w)[0]

@@ -28,7 +28,8 @@ difference, with no pure word built.  One strand walk over w (the kernel's
 strand_walk) gives both C(w) and the end positions that phi turns into the
 checked automorphism g; edge_lk reads its purity test and its counts from
 one walk the same way.  On a cycle graph the section's counts come from
-dihedral_lift_counts, cached per dihedral element.
+dihedral_lift_counts, cached per dihedral element.  Nothing here checks
+letters: each BraidWord did when built, and a section is built as one.
 """
 
 from __future__ import annotations
@@ -53,15 +54,7 @@ from .graphs import (
     is_complete,
     is_triangle_free,
 )
-from .words import (
-    BraidWord,
-    Permutation,
-    concat,
-    e_word,
-    power,
-    psi_a_word,
-    psi_b_word,
-)
+from .words import BraidWord, Permutation, e_letters, psi_a_word, psi_b_word
 
 
 @dataclass(frozen=True)
@@ -152,7 +145,7 @@ def edge_lk(w: BraidWord, G: SimpleGraph) -> EdgeVector:
     both the purity test and the counts.
     """
     _check_strands(w, G)
-    m, ends = strand_walk(w.strands, w.letters)
+    m, ends = strand_walk(w)
     if ends != list(range(w.strands)):
         raise NotPureError("edge_lk needs a pure word")
     return halved_counts(G, (m[i - 1][j - 1] for i, j in G.edges_sorted()))
@@ -178,7 +171,7 @@ def phi(w: BraidWord, G: SimpleGraph, ends=None) -> Permutation:
     """
     _check_strands(w, G)
     if ends is None:
-        ends = strand_walk(w.strands, w.letters)[1]
+        ends = strand_walk(w)[1]
     g = Permutation([p + 1 for p in ends])
     if not is_automorphism(G, g):
         raise NotAutomorphismError(
@@ -190,10 +183,10 @@ def phi(w: BraidWord, G: SimpleGraph, ends=None) -> Permutation:
 def dihedral_section_word(d: DihedralElement) -> BraidWord:
     """Distinguished lift psi(a)^k psi(b)^e of a dihedral element, n >= 4."""
     n = d.order
-    w = power(psi_a_word(n), d.rotation)
+    letters = psi_a_word(n).letters * d.rotation
     if d.reflected:
-        w = concat(w, psi_b_word(n))
-    return w
+        letters += psi_b_word(n).letters
+    return BraidWord(n, letters)
 
 
 @lru_cache(maxsize=None)
@@ -201,7 +194,7 @@ def dihedral_lift_counts(d: DihedralElement) -> tuple[int, ...]:
     """Crossing counts of dihedral_section_word(d) on the edges of cycle(n),
     in sorted edge order; cached per element, so bounded by the 2n per n."""
     n = d.order
-    m = crossing_counts(n, dihedral_section_word(d).letters)
+    m = crossing_counts(dihedral_section_word(d))
     return tuple(m[i - 1][j - 1] for i, j in cycle(n).edges_sorted())
 
 
@@ -227,14 +220,14 @@ def section(g: Permutation, G: SimpleGraph) -> BraidWord:
     if _is_cycle(G):
         return dihedral_section_word(DihedralElement.from_perm(n, g))
     work = list(g.image)
-    word = BraidWord(n)
+    letters = []
     for p in range(1, n + 1):
         if work[p - 1] == p:
             continue
         v = work.index(p, p - 1) + 1
         work[v - 1] = work[p - 1]
-        word = concat(word, e_word(p, v, n))
-    return word
+        letters += e_letters(p, v)
+    return BraidWord(n, letters)
 
 
 def i_star(w: BraidWord, G: SimpleGraph) -> ChromaticElement:
@@ -244,13 +237,13 @@ def i_star(w: BraidWord, G: SimpleGraph) -> ChromaticElement:
     if not is_triangle_free(G):
         raise OutOfScopeError("i_star needs a triangle-free graph")
     n = G.vertices
-    m, ends = strand_walk(n, w.letters)
+    m, ends = strand_walk(w)
     g = phi(w, G, ends)
     edges = G.edge_index
     if _is_cycle(G):
         lift = dihedral_lift_counts(DihedralElement.from_perm(n, g))
     else:
-        s = crossing_counts(n, section(g, G).letters)
+        s = crossing_counts(section(g, G))
         lift = tuple(s[i - 1][j - 1] for i, j in edges)
     # C(w section(g)^-1) = C(w) - C(section(g)), see the module docstring
     counts = (m[i - 1][j - 1] - c for (i, j), c in zip(edges, lift))
@@ -268,9 +261,9 @@ def normal_form_in_BGamma(w: BraidWord, G: SimpleGraph) -> ChromaticElement | No
     handled here and raises OutOfScopeError.  This is the one place that
     chooses by graph class.
     """
-    _check_strands(w, G)
     if is_triangle_free(G):
-        return i_star(w, G)
+        return i_star(w, G)  # which checks the strands first
+    _check_strands(w, G)
     if is_complete(G):
         return normal_form(w)
     raise OutOfScopeError(
@@ -281,6 +274,4 @@ def normal_form_in_BGamma(w: BraidWord, G: SimpleGraph) -> ChromaticElement | No
 def equal_in_BGamma(u: BraidWord, v: BraidWord, G: SimpleGraph) -> bool:
     """Word problem in B(G): u and v are equal iff their normal forms
     (normal_form_in_BGamma) are; raises OutOfScopeError where that does."""
-    _check_strands(u, G)
-    _check_strands(v, G)
     return normal_form_in_BGamma(u, G) == normal_form_in_BGamma(v, G)

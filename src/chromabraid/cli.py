@@ -124,7 +124,7 @@ def cmd_invariants(args) -> int:
     n, G = _resolve_strands(args)
     w = parse_word(args.word, n)
     # one walk gives what perm_of, crossing_matrix and edge_lk would
-    counts, ends = strand_walk(n, w.letters)
+    counts, ends = strand_walk(w)
     g = Permutation([p + 1 for p in ends])
     pure = g.is_identity()
     print(f"strands: {n}")

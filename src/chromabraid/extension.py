@@ -27,6 +27,8 @@ reads its vector as (C(w) - a_g) / 2 on the edges.  mul and inv are one
 product-table lookup per call: the table of cycle(n), built on their first
 call over it, holds for each dihedral pair (g, h) the edge-index table of g
 (so g |> v is a gather), the coordinates of c(g, h) and the permutation gh.
+It cannot miss: an element's automorphism is checked against its graph,
+_order requires cycle(n), and every automorphism of a cycle is dihedral.
 compute_cocycle, and with it the table, is refused above MAX_CYCLE_ORDER,
 since it holds 4n^2 vectors of n coordinates.
 """
@@ -133,31 +135,15 @@ def _product_table(n: int) -> tuple[dict, dict]:
     return products, inverses
 
 
-def _not_dihedral(n: int, *xs: ChromaticElement):
-    """Raise from_perm's IndexRangeError for the first operand whose
-    automorphism is not dihedral: the one way to miss the product table."""
-    for x in xs:
-        DihedralElement.from_perm(n, x.aut)
-    raise AssertionError("the product table misses a dihedral pair")
-
-
 def mul(x: ChromaticElement, y: ChromaticElement) -> ChromaticElement:
-    n = _order(x, y)
-    try:
-        src, c, gh = _product_table(n)[0][x.aut.image, y.aut.image]
-    except KeyError:
-        _not_dihedral(n, x, y)
+    src, c, gh = _product_table(_order(x, y))[0][x.aut.image, y.aut.image]
     v, w = x.vector.coords, y.vector.coords
     coords = tuple([a + w[k] + b for a, k, b in zip(v, src, c)])
     return ChromaticElement(EdgeVector(x.vector.graph, coords), gh)
 
 
 def inv(x: ChromaticElement) -> ChromaticElement:
-    n = _order(x)
-    try:
-        src, c, g_inv = _product_table(n)[1][x.aut.image]
-    except KeyError:
-        _not_dihedral(n, x)
+    src, c, g_inv = _product_table(_order(x))[1][x.aut.image]
     # solve (v, g)(v', g^-1) = (0, e): v' = g^-1 |> -(v + c)
     v = x.vector.coords
     coords = tuple([-(v[k] + c[k]) for k in src])

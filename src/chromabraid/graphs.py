@@ -124,8 +124,8 @@ def is_complete(G: SimpleGraph) -> bool:
 def is_3_circuit(G: SimpleGraph, i: int, j: int, k: int) -> bool:
     """True iff the three distinct vertices span a triangle of G."""
     for v in (i, j, k):
-        if not 1 <= v <= G.vertices:
-            raise GraphInputError(f"vertex {v} outside range 1..{G.vertices}")
+        if type(v) is not int or not 1 <= v <= G.vertices:
+            raise GraphInputError(f"vertex {v!r} is not an integer in 1..{G.vertices}")
     if len({i, j, k}) != 3:
         raise GraphInputError(f"repeated vertex in triple ({i}, {j}, {k})")
     return G.has_edge(i, j) and G.has_edge(j, k) and G.has_edge(i, k)

@@ -141,8 +141,8 @@ def standard_graph_suite(max_n: int) -> list[tuple[str, SimpleGraph]]:
 def full_paper_report(max_n: int = 9) -> Report:
     """Aggregate suite run by the verify-paper command.  A max_n above
     MAX_N is refused before any check is built."""
-    if max_n < 4:
-        raise IndexRangeError(f"verify-paper needs max_n >= 4, got {max_n}")
+    if type(max_n) is not int or max_n < 4:
+        raise IndexRangeError(f"verify-paper needs an integer max_n >= 4, got {max_n!r}")
     if max_n > MAX_N:
         raise ResourceLimitError(f"verify-paper --max-n {max_n} is above the limit of {MAX_N}")
     report = lemma_report(range(4, max_n + 1))

@@ -241,7 +241,8 @@ def reduced_middles(u: BraidWord, v: BraidWord) -> tuple[BraidWord, BraidWord]:
 
 def a_word(i: int, j: int, n: int) -> BraidWord:
     """sigma_{j-1} sigma_{j-2} ... sigma_i, the strand-i-to-position-j run; empty when i = j."""
-    if not 1 <= i <= j <= n:
+    # the type test comes first: the range test admits 1.5
+    if type(i) is not int or type(j) is not int or not 1 <= i <= j <= n:
         raise IndexRangeError(f"a_word needs 1 <= i <= j <= n, got ({i}, {j}) on {n}")
     check_strands(n)
     return BraidWord(n, range(j - 1, i - 1, -1))
@@ -249,18 +250,24 @@ def a_word(i: int, j: int, n: int) -> BraidWord:
 
 def s_word(i: int, j: int, n: int) -> BraidWord:
     """Band generator: sigma_i^2 conjugated so strands i and j do the full twist."""
-    if not 1 <= i < j <= n:
+    if type(i) is not int or type(j) is not int or not 1 <= i < j <= n:
         raise IndexRangeError(f"s_word needs 1 <= i < j <= n, got ({i}, {j}) on {n}")
     check_strands(n)
     run = tuple(range(j - 1, i, -1))
     return BraidWord(n, run + (i, i) + tuple(-k for k in reversed(run)))
 
 
+def e_letters(k: int, l: int) -> tuple[int, ...]:
+    """The letters of e_word(k, l), unchecked, for joining into one word."""
+    return (*range(l - 1, k - 1, -1), *range(-k - 1, -l, -1))
+
+
 def e_word(k: int, l: int, n: int) -> BraidWord:
     """a_word(k, l) a_word(k+1, l)^-1; its permutation is the transposition (k l)."""
-    if not 1 <= k < l <= n:
+    if type(k) is not int or type(l) is not int or not 1 <= k < l <= n:
         raise IndexRangeError(f"e_word needs 1 <= k < l <= n, got ({k}, {l}) on {n}")
-    return concat(a_word(k, l, n), inverse(a_word(k + 1, l, n)))
+    check_strands(n)
+    return BraidWord(n, e_letters(k, l))
 
 
 def psi_r(n: int) -> int:
@@ -286,10 +293,8 @@ def psi_b_word(n: int) -> BraidWord:
     """Lift of the reflection fixing vertex 1: e_word(2, n) e_word(3, n-1) ..."""
     if n < 4:
         raise IndexRangeError(f"psi_b_word needs n >= 4, got {n}")
-    w = BraidWord(n)
-    for k in range(2, psi_r(n) + 1):
-        w = concat(w, e_word(k, n + 2 - k, n))
-    return w
+    check_strands(n)  # before range(n) reads it
+    return BraidWord(n, [a for k in range(2, psi_r(n) + 1) for a in e_letters(k, n + 2 - k)])
 
 
 def perm_of(w: BraidWord) -> Permutation:
@@ -321,5 +326,5 @@ class CrossingMatrix:
 
 
 def crossing_matrix(w: BraidWord) -> CrossingMatrix:
-    counts = crossing_counts(w.strands, w.letters)
+    counts = crossing_counts(w)
     return CrossingMatrix(tuple(tuple(row) for row in counts))

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from chromabraid import _kernel, words
 from chromabraid.chromatic import (
     ChromaticElement,
     EdgeVector,
@@ -37,6 +38,7 @@ from chromabraid.words import (
     BraidWord,
     Permutation,
     concat,
+    crossing_matrix,
     inverse,
     parse_word,
     perm_of,
@@ -327,8 +329,15 @@ class TestEqualInBGamma:
             equal_in_BGamma(BraidWord(4), BraidWord(4), G)
 
     def test_strand_mismatch(self):
-        with pytest.raises(StrandMismatchError):
-            equal_in_BGamma(BraidWord(5), BraidWord(4), cycle(4))
+        # each word's strands are checked by normal_form_in_BGamma, the first
+        # word's before the second word is looked at
+        for G in (cycle(4), complete(4)):
+            with pytest.raises(StrandMismatchError):
+                equal_in_BGamma(BraidWord(5), BraidWord(4), G)
+            with pytest.raises(StrandMismatchError):
+                equal_in_BGamma(BraidWord(4), BraidWord(5), G)
+        with pytest.raises(NotAutomorphismError):
+            equal_in_BGamma(parse_word("1", 4), BraidWord(5), path(4))
 
     @pytest.mark.parametrize("G", [cycle(4), cycle(7), path(5), star(5)])
     def test_matches_word_definition(self, G):
@@ -421,3 +430,42 @@ class TestChromaticElement:
         y = ChromaticElement(unit_vector(G, 1, 2), Permutation.identity(4))
         assert x == y
         assert len({x, y}) == 1
+
+
+class TestLetterChecks:
+    """A word's letters are checked once, when it is built: the walks behind
+    the chromatic layer trust a BraidWord, and each family builds one word."""
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        calls = []
+        check = _kernel.check_letters
+
+        def counted(n, letters):
+            calls.append(n)
+            return check(n, letters)
+
+        # BraidWord reads the name words imported, left_normal_form its own
+        monkeypatch.setattr(_kernel, "check_letters", counted)
+        monkeypatch.setattr(words, "check_letters", counted)
+        return calls
+
+    def test_walks_do_not_check_a_built_word(self, checks):
+        G = cycle(6)
+        w = concat(concat(s_word(1, 3, 6), psi_b_word(6)), inverse(psi_a_word(6)))
+        pure = concat(s_word(1, 2, 6), inverse(s_word(3, 4, 6)))
+        i_star(w, G)  # warms the section counts, built once per process
+        del checks[:]
+        i_star(w, G)
+        phi(w, G)
+        edge_lk(pure, G)
+        crossing_matrix(w)
+        assert checks == []
+
+    def test_families_build_one_word(self, checks):
+        psi_b_word(8)
+        assert checks == [8]
+        del checks[:]
+        # three transpositions, each lifted to an e_word
+        section(Permutation((1, 3, 4, 5, 2)), star(5))
+        assert checks == [5]

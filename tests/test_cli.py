@@ -294,9 +294,9 @@ class TestInvariants:
     def test_one_strand_walk(self, capsys, monkeypatch):
         walks = []
 
-        def counted(n, letters):
-            walks.append(letters)
-            return _kernel.strand_walk(n, letters)
+        def counted(w):
+            walks.append(w.letters)
+            return _kernel.strand_walk(w)
 
         monkeypatch.setattr(cli, "strand_walk", counted)
         assert run(capsys, "invariants", "1 1", "--graph", "cycle:4")[0] == 0

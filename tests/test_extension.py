@@ -236,19 +236,6 @@ class TestProductTable:
             mul(x, inv(y))
         assert compute_cocycle.cache_info().hits == hits
 
-    def test_miss_raises_from_perm_error(self):
-        # only an element that skipped validation can miss the table
-        x = identity(5)
-        forged = object.__new__(ChromaticElement)
-        object.__setattr__(forged, "vector", x.vector)
-        object.__setattr__(forged, "aut", Permutation((2, 1, 3, 4, 5)))
-        with pytest.raises(IndexRangeError) as expected:
-            DihedralElement.from_perm(5, forged.aut)
-        for call in (lambda: mul(forged, x), lambda: mul(x, forged), lambda: inv(forged)):
-            with pytest.raises(IndexRangeError) as raised:
-                call()
-            assert str(raised.value) == str(expected.value)
-
 
 class TestCycleOrderLimit:
     def test_covers_every_size_in_use(self):

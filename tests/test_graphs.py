@@ -168,6 +168,9 @@ class TestPredicates:
             is_3_circuit(G, 1, 1, 2)
         with pytest.raises(GraphInputError):
             is_3_circuit(G, 1, 2, 9)
+        # 2.5 lies between valid vertices and equals none of them
+        with pytest.raises(GraphInputError, match=r"^vertex 2.5 is not an integer in 1..4$"):
+            is_3_circuit(cycle(4), 1, 2, 2.5)
 
     def test_is_triangle_free(self):
         assert is_triangle_free(cycle(4))

@@ -9,7 +9,7 @@ import pytest
 
 from chromabraid import chromatic, garside, verify
 from chromabraid.chromatic import dihedral_lift_counts, edge_lk, i_star
-from chromabraid.errors import OutOfScopeError, ResourceLimitError
+from chromabraid.errors import IndexRangeError, OutOfScopeError, ResourceLimitError
 from chromabraid.graphs import DihedralElement, cycle, from_edge_list
 from chromabraid.verify import MAX_N, chromatic_soundness_report, full_paper_report
 from chromabraid.words import BraidWord, inverse, psi_a_word, psi_b_word, s_word
@@ -43,6 +43,12 @@ def test_oversized_report_is_refused_before_any_check(monkeypatch):
         full_paper_report(MAX_N + 1)
     with pytest.raises(AssertionError, match="a check was built"):
         full_paper_report(MAX_N)
+
+
+def test_non_integer_max_n_is_refused():
+    # 4.0 passes the range tests, and range() would raise a bare TypeError
+    with pytest.raises(IndexRangeError, match=r"^verify-paper needs an integer max_n >= 4, got 4.0$"):
+        full_paper_report(4.0)
 
 
 SUITES = ("lemma_report", "artin_soundness_report", "markoff_soundness_report",

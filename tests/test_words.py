@@ -92,7 +92,7 @@ class TestIntegers:
             (lambda: BraidWord(3, (1, "1")), "letter '1' out of range for 3 strands"),
             (lambda: BraidWord(3.0), "strand count must be an integer, got 3.0"),
             (lambda: parse_word("1", 3.0), "strand count must be an integer, got 3.0"),
-            (lambda: _kernel.strand_walk(3, (1.0,)), "letter 1.0 out of range for 3 strands"),
+            (lambda: _kernel.strand_walk(BraidWord(3, (1.0,))), "letter 1.0 out of range for 3 strands"),
             (lambda: Permutation((1.0, 2)), r"not a permutation of 1..2: \(1.0, 2\)"),
             (lambda: power(BraidWord(3, (1,)), 1.5), "power needs an integer exponent, got 1.5"),
             # a bool equals 0 or 1, and format_word would print it as True
@@ -109,6 +109,16 @@ class TestIntegers:
     )
     def test_refused(self, build, message):
         with pytest.raises(IndexRangeError, match=f"^{message}$"):
+            build()
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: a_word(1.5, 3, 4), lambda: s_word(1, 2.0, 4), lambda: e_word(1, 2.5, 4)],
+        ids=["a_word", "s_word", "e_word"],
+    )
+    def test_family_refuses_non_integer_index(self, build):
+        # each passes the range test, and range() would raise a bare TypeError
+        with pytest.raises(IndexRangeError, match=r" needs 1 <= "):
             build()
 
     def test_values_are_stored_as_tuples(self):
@@ -140,13 +150,14 @@ class TestStrandCap:
             lambda n: parse_word("x 0", n),  # the cap comes before the letters
             lambda n: a_word(1, n, n),
             lambda n: s_word(1, n, n),
+            lambda n: e_word(1, n, n),
             lambda n: psi_b_word(n),
             lambda n: _kernel.left_normal_form(n, (1,)),
-            lambda n: _kernel.crossing_counts(n, ()),
+            lambda n: _kernel.crossing_counts(BraidWord(n)),
         ],
         ids=[
             "BraidWord", "BraidWord-empty", "parse_word", "parse_word-bad-token",
-            "a_word", "s_word", "psi_b_word", "left_normal_form", "crossing_counts",
+            "a_word", "s_word", "e_word", "psi_b_word", "left_normal_form", "crossing_counts",
         ],
     )
     def test_refused_above_the_cap(self, build):
@@ -219,6 +230,13 @@ class TestWordFamilies:
     def test_a_word_range(self):
         with pytest.raises(IndexRangeError):
             a_word(3, 2, 4)
+
+    @pytest.mark.parametrize("family", [s_word, e_word])
+    def test_band_and_transposition_need_two_vertices(self, family):
+        # i = j would give sigma_i^2 and the empty word, not a band or a
+        # transposition
+        with pytest.raises(IndexRangeError, match=rf"^{family.__name__} needs 1 <= "):
+            family(2, 2, 4)
 
     def test_s_word_letters(self):
         assert s_word(1, 2, 3).letters == (1, 1)
