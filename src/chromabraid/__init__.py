@@ -5,8 +5,9 @@ synthesizers for the classical and graph-conditioned groups, abelianized
 invariants of the pure part, and the explicit twisted-product model of the
 cycle-conditioned group with its dihedral quotient.
 
-The hot kernels (normal-form sliding, crossing simulation) are pure
-Python, in chromabraid._garside_py; chromabraid.KERNEL is always "pure".
+The hot kernels are pure Python: normal-form sliding in
+chromabraid._garside_py, and the strand walk that counts crossings in
+chromabraid._kernel; chromabraid.KERNEL is always "pure".
 
 Every cache in the package, with its key and its bound: seven module-level
 caches, then the two values each graph computes once and keeps:
@@ -116,7 +117,6 @@ from .words import (
     inverse,
     parse_word,
     perm_of,
-    power,
     psi_a_word,
     psi_b_word,
     s_word,

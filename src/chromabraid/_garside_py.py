@@ -1,7 +1,8 @@
-"""The Garside kernel: left-weighted normal form and the strand walk.
+"""The Garside kernel: the left-weighted normal form, and nothing else.
 
 This is the only implementation; _kernel.py passes it only checked
-letters, since nothing here checks them.
+letters, since nothing here checks them.  The strand walk lives in
+_kernel.py, behind its BraidWord entry.
 
 Conventions inside the kernel: permutations are 0-based one-line lists
 (f[x] = image of x), composed left to right, and a factor f stands for the
@@ -189,26 +190,3 @@ def left_normal_form(n, letters):
         factors = [_tau(f, n) for f in factors]
     return p, [tuple(f) for f in factors]
 
-
-def strand_walk(n, letters):
-    """One pass over the strands: (counts, ends).
-
-    counts is the n x n list-of-lists of signed crossing counts between
-    labelled strands: strands are labelled by start position (0-based), and
-    entry [p][q] gains the sign of each letter that crosses strand p over
-    strand q.  ends[p] is the end position of strand p (0-based), the
-    permutation of the word in the kernel's one-line convention.
-    """
-    at = list(range(n))  # position -> strand label
-    m = [[0] * n for _ in range(n)]
-    for k in letters:
-        i = abs(k) - 1
-        s = 1 if k > 0 else -1
-        a, b = at[i], at[i + 1]
-        m[a][b] += s
-        m[b][a] += s
-        at[i], at[i + 1] = b, a
-    ends = [0] * n
-    for pos, strand in enumerate(at):
-        ends[strand] = pos
-    return m, ends

@@ -1,13 +1,14 @@
-"""Checked entry points to the Garside kernel in _garside_py.
+"""The checked entry to the Garside kernel in _garside_py, and the strand walk.
 
 The kernel does not check its letters: unchecked, it reads letter 0 as
 generator index -1 and returns (1, []) for (0,) on n=3.  check_letters is
 the one letter check: it refuses a letter that is not an int k with
 0 < |k| < n, and through _alphabet a strand count that check_strands
 refuses.  It runs in two places.  BraidWord runs it when a word is built,
-so strand_walk and crossing_counts take a BraidWord and trust its letters.
-left_normal_form takes raw letters and runs it itself, and also refuses a
-word whose letters times strands exceed MAX_FORM_CELLS.
+so strand_walk, which lives here, and crossing_counts take a BraidWord and
+trust its letters.  left_normal_form takes raw letters, such as the middles
+equal_in_Bn derives, and runs it itself; it also refuses a word whose
+letters times strands exceed MAX_FORM_CELLS.
 """
 
 from __future__ import annotations
@@ -75,8 +76,24 @@ def left_normal_form(n, letters):
 
 
 def strand_walk(w):
-    """The kernel's strand walk over a BraidWord, whose letters are checked."""
-    return _impl.strand_walk(w.strands, w.letters)
+    """(counts, ends) from one pass over the strands of w, labelled by start
+    position (0-based): counts[p][q] sums the signs of the letters that cross
+    strands p and q, and ends[p] is the end position of strand p, the word's
+    permutation in the kernel's one-line convention."""
+    n = w.strands
+    at = list(range(n))  # position -> strand label
+    m = [[0] * n for _ in range(n)]
+    for k in w.letters:
+        i = abs(k) - 1
+        s = 1 if k > 0 else -1
+        a, b = at[i], at[i + 1]
+        m[a][b] += s
+        m[b][a] += s
+        at[i], at[i + 1] = b, a
+    ends = [0] * n
+    for pos, strand in enumerate(at):
+        ends[strand] = pos
+    return m, ends
 
 
 def crossing_counts(w):

@@ -39,6 +39,7 @@ from collections.abc import Mapping
 from functools import lru_cache
 from types import MappingProxyType
 
+from ._kernel import check_strands
 from .chromatic import (
     ChromaticElement,
     EdgeVector,
@@ -151,9 +152,8 @@ def inv(x: ChromaticElement) -> ChromaticElement:
 
 
 def to_element(w: BraidWord, n: int) -> ChromaticElement:
-    """Quotient map B(C_n) -> pairs: the normal form i_star over the cycle."""
-    if w.strands != n:
-        raise StrandMismatchError(f"word on {w.strands} strands, expected {n}")
+    """Quotient map B(C_n) -> pairs: i_star over the cycle, which checks w's strands."""
+    check_strands(n)  # before n < 4 compares it
     if n < 4:
         raise IndexRangeError(f"to_element needs n >= 4, got {n}")
     return i_star(w, cycle(n))

@@ -19,7 +19,8 @@ equal_in_Bn does the least work that still gives an exact answer, in order:
 3. EQUAL when the two middles are the same letters.  Every pair that far
    commutations and inverse pairs alone turn into each other ends here.
 4. Otherwise compare the kernel's normal forms of the two middles, as the
-   (infimum, factors) pairs that _kernel.left_normal_form returns.
+   (infimum, factors) pairs that _kernel.left_normal_form returns; its check
+   is the only one the middles' letters get, since no word is rebuilt.
 
 normal_form takes no shortcut: verify-paper prints the forms of whole
 words.  The second, independent oracle,
@@ -68,4 +69,4 @@ def equal_in_Bn(u: BraidWord, v: BraidWord) -> bool:
     if _exponent_sum(u.letters) != _exponent_sum(v.letters) or perm_of(u) != perm_of(v):
         return False
     a, b = reduced_middles(u, v)
-    return a == b or left_normal_form(n, a.letters) == left_normal_form(n, b.letters)
+    return a == b or left_normal_form(n, a) == left_normal_form(n, b)

@@ -36,7 +36,7 @@ class SimpleGraph:
         # a one-shot iterator is read once, by the checks and the frozenset
         edges = self.edges if isinstance(self.edges, frozenset) else tuple(self.edges)
         for e in edges:
-            if not (isinstance(e, tuple) and len(e) == 2 and all(isinstance(v, int) for v in e)):
+            if not (isinstance(e, tuple) and len(e) == 2 and all(type(v) is int for v in e)):
                 raise GraphInputError(f"edge {e!r} is not a pair of integers")
             i, j = e
             if i == j:

@@ -19,7 +19,8 @@ the group axioms and far commutation, not Garside theory, and it is the one
 step the two oracles share: the common prefix and suffix, the Cartier-Foata
 order of the middles, the same-letters shortcut and the exponent-sum and
 permutation checks stay in equal_in_Bn.
-It then decides equality of the reduced words in two stages.
+It then decides equality of the reduced words in two stages, each of which
+takes the strand count and the cancelled letters, not a rebuilt word.
 
 1. DISTINCT certificate.  Substituting fixed non-zero residues for q and t
    modulo the prime P = 2^61 - 1 is a ring homomorphism from Z[q^+-1, t^+-1]
@@ -163,14 +164,14 @@ def _column_rules(n: int, letter: int):
     return tuple(rules)
 
 
-def _certificate(w: BraidWord) -> list[int]:
-    """The row y M(w) modulo _P, evaluated at the certificate's point."""
-    m = w.strands * (w.strands - 1) // 2
+def _certificate(n: int, letters: tuple[int, ...]) -> list[int]:
+    """The row y M(w) modulo _P for w = letters on n strands, at the certificate's point."""
+    m = n * (n - 1) // 2
     row = [pow(_AT_Y, r + 1, _P) for r in range(m)]
-    for letter in w.letters:
+    for letter in letters:
         new_cols = [
             (c, sum(row[s] * value for s, _, value in terms) % _P)
-            for c, terms in _column_rules(w.strands, letter)
+            for c, terms in _column_rules(n, letter)
         ]
         for c, value in new_cols:
             row[c] = value
@@ -205,15 +206,15 @@ def _packed_rules(n: int, letter: int, budget: int):
     return copies, sums
 
 
-def _packed_matrix(w: BraidWord, budget: int) -> tuple[list[list[int]], list[int]]:
-    """The columns of M(w), packed for the budget, and their offsets:
-    column c is a list of one int per row."""
-    m = w.strands * (w.strands - 1) // 2
+def _packed_matrix(n: int, letters: tuple[int, ...], budget: int) -> tuple[list[list[int]], list[int]]:
+    """The columns of M(w) for w = letters on n strands, packed for the
+    budget, and their offsets: column c is a list of one int per row."""
+    m = n * (n - 1) // 2
     step = _layout(budget)[2]
     cols = [[int(r == c) for r in range(m)] for c in range(m)]
     offsets = [0] * m
-    rules = {a: _packed_rules(w.strands, a, budget) for a in set(w.letters)}
-    for letter in w.letters:
+    rules = {a: _packed_rules(n, a, budget) for a in set(letters)}
+    for letter in letters:
         copies, sums = rules[letter]
         new_cols = [(c, cols[s], offsets[s]) for c, s in copies]
         for c, terms in sums:
@@ -251,7 +252,7 @@ def lk_matrix(w: BraidWord, length_budget: int | None = None) -> np.ndarray:
         raise IndexRangeError(f"length budget {budget} below the word's {len(w.letters)} letters")
     m = n * (n - 1) // 2
     bits, row, step = _layout(budget)
-    cols, offsets = _packed_matrix(w, budget)
+    cols, offsets = _packed_matrix(n, w.letters, budget)
     digits = row * (2 * budget + 1)
     width = (bits * digits + 7) // 8 + 8  # 8 spare bytes for the 8-byte reads
     buf = b"".join(
@@ -309,11 +310,10 @@ def equal_via_representation(u: BraidWord, v: BraidWord) -> bool:
     them, when the two packed matrices could exceed _PACKED_LIMIT_BITS.
     """
     n = common_strands(u, v)
-    u = BraidWord(n, _cancel_far(n, u.letters))
-    v = BraidWord(n, _cancel_far(n, v.letters))
-    if _certificate(u) != _certificate(v):
+    a, b = _cancel_far(n, u.letters), _cancel_far(n, v.letters)
+    if _certificate(n, a) != _certificate(n, b):
         return False
-    budget = max(len(u.letters), len(v.letters), 1)
+    budget = max(len(a), len(b), 1)
     bits, row, step = _layout(budget)
     m = n * (n - 1) // 2
     size = 2 * m * m * bits * row * (2 * budget + 1)
@@ -322,4 +322,4 @@ def equal_via_representation(u: BraidWord, v: BraidWord) -> bool:
             f"exact LK matrices for {n} strands and {budget} letters "
             f"could take {size // 8 // 2**20} MiB, over the {_PACKED_LIMIT_BITS // 8 // 2**20} MiB limit"
         )
-    return _columns_equal(_packed_matrix(u, budget), _packed_matrix(v, budget), step)
+    return _columns_equal(_packed_matrix(n, a, budget), _packed_matrix(n, b, budget), step)

@@ -5,11 +5,12 @@ sigma_k or sigma_k^-1, 1 <= k <= n-1, stored as signed integers: k > 0
 encodes sigma_k and k < 0 encodes sigma_|k|^-1.  The textual form is the
 same sequence as whitespace-separated decimal integers, e.g. "1 2 -1".
 
-Besides the free-monoid plumbing (parse, format, concat, inverse, power,
-and reduced_middles, which cancels inverse pairs, also across far-commuting
+Besides the free-monoid plumbing (parse, format, concat, inverse, and
+reduced_middles, which cancels inverse pairs, also across far-commuting
 letters, drops a common prefix and suffix, puts what is left in
-Cartier-Foata order and drops a common prefix and suffix again) the module
-provides the named word families
+Cartier-Foata order, drops a common prefix and suffix again and returns
+the two middles as letter tuples) the module provides the named word
+families
 
     a_word(i, j)   = sigma_{j-1} ... sigma_{i+1} sigma_i          (empty for i = j)
     s_word(i, j)   = sigma_{j-1} ... sigma_{i+1} sigma_i^2 sigma_{i+1}^-1 ... sigma_{j-1}^-1
@@ -145,14 +146,6 @@ def inverse(w: BraidWord) -> BraidWord:
     return BraidWord(w.strands, [-k for k in reversed(w.letters)])
 
 
-def power(w: BraidWord, e: int) -> BraidWord:
-    """w^e as |e| copies of w, or of w^-1 when e is negative."""
-    if type(e) is not int:
-        raise IndexRangeError(f"power needs an integer exponent, got {e!r}")
-    base = w if e >= 0 else inverse(w)
-    return BraidWord(w.strands, base.letters * abs(e))
-
-
 def common_strands(u: BraidWord, v: BraidWord) -> int:
     """The strand count of two words that are compared, which must share it."""
     if u.strands != v.strands:
@@ -220,8 +213,8 @@ def _strip(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...], tup
     return a[i:len(a) - j], b[i:len(b) - j]
 
 
-def reduced_middles(u: BraidWord, v: BraidWord) -> tuple[BraidWord, BraidWord]:
-    """Middles a, b of u and v such that u = v in B_n iff a = b.
+def reduced_middles(u: BraidWord, v: BraidWord) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The letters of middles a, b of u and v such that u = v in B_n iff a = b.
 
     Each word loses the inverse pairs _cancel_far finds, then the two lose
     their longest common prefix and suffix: in any group p.a.s = p.b.s iff
@@ -235,8 +228,7 @@ def reduced_middles(u: BraidWord, v: BraidWord) -> tuple[BraidWord, BraidWord]:
     """
     n = common_strands(u, v)
     a, b = _strip(_cancel_far(n, u.letters), _cancel_far(n, v.letters))
-    a, b = _strip(_foata(n, a), _foata(n, b))
-    return BraidWord(n, a), BraidWord(n, b)
+    return _strip(_foata(n, a), _foata(n, b))
 
 
 def a_word(i: int, j: int, n: int) -> BraidWord:

@@ -1,11 +1,12 @@
 """Structural checks on normal forms, transpositions, the reference
-enumeration of Markoff's presentation and the reference edge action, shared
-by the test modules."""
+enumeration of Markoff's presentation, the reference edge action and word
+powers, which the package itself does not need, shared by the test
+modules."""
 
 from itertools import combinations
 
 from chromabraid.chromatic import EdgeVector
-from chromabraid.errors import NotAutomorphismError
+from chromabraid.errors import IndexRangeError, NotAutomorphismError
 from chromabraid.garside import NormalForm
 from chromabraid.graphs import is_automorphism
 from chromabraid.presentations import (
@@ -14,7 +15,15 @@ from chromabraid.presentations import (
     edge_generator_name,
     equation_relator,
 )
-from chromabraid.words import Permutation
+from chromabraid.words import BraidWord, Permutation, inverse
+
+
+def power(w: BraidWord, e: int) -> BraidWord:
+    """w^e as |e| copies of w, or of w^-1 when e is negative."""
+    if type(e) is not int:
+        raise IndexRangeError(f"power needs an integer exponent, got {e!r}")
+    base = w if e >= 0 else inverse(w)
+    return BraidWord(w.strands, base.letters * abs(e))
 
 
 def half_twist_perm(n: int) -> Permutation:

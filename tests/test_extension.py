@@ -36,13 +36,12 @@ from chromabraid.words import (
     Permutation,
     concat,
     inverse,
-    power,
     psi_a_word,
     psi_b_word,
     s_word,
 )
 
-from braid_helpers import act
+from braid_helpers import act, power
 
 
 def small_elements(n, rng, count):
@@ -310,8 +309,17 @@ class TestToElement:
                 assert to_element(concat(u, w), n) == mul(to_element(u, n), to_element(w, n))
 
     def test_strand_mismatch(self):
-        with pytest.raises(StrandMismatchError, match="^word on 5 strands, expected 4$"):
+        with pytest.raises(
+            StrandMismatchError, match="^word on 5 strands against graph on 4 vertices$"
+        ):
             to_element(BraidWord(5), 4)
+
+    def test_order_is_checked_first(self):
+        # before n < 4 compares it, and before the word's strands are
+        with pytest.raises(IndexRangeError, match="^strand count must be an integer, got '5'$"):
+            to_element(BraidWord(5), "5")
+        with pytest.raises(ResourceLimitError, match="^1001 strands exceed the limit of 1000$"):
+            to_element(BraidWord(5), 1001)
 
     def test_small_order(self):
         with pytest.raises(IndexRangeError, match="^to_element needs n >= 4, got 3$"):

@@ -2,16 +2,17 @@
 
 import hashlib
 import random
+import sys
 from itertools import combinations, product
 
 import pytest
 
-from chromabraid import _kernel, garside
+from chromabraid import _kernel, garside, words
 from chromabraid.errors import IndexRangeError, ResourceLimitError, StrandMismatchError
-from chromabraid.garside import NormalForm, equal_in_Bn, normal_form
-from chromabraid.words import BraidWord, Permutation, concat, inverse, perm_of, power
+from chromabraid.garside import NormalForm, equal_in_Bn, equal_via_representation, normal_form
+from chromabraid.words import BraidWord, Permutation, concat, inverse, perm_of
 
-from braid_helpers import finishing_set, half_twist_perm, is_left_weighted, starting_set
+from braid_helpers import finishing_set, half_twist_perm, is_left_weighted, power, starting_set
 
 
 def conjugate(w, by):
@@ -318,6 +319,51 @@ class TestEquality:
             a, b = normal_form(shifted), normal_form(w)
             assert a.infimum == b.infimum + k
             assert a.factors == b.factors
+
+
+class TestDerivedLetters:
+    """Both oracles keep the letters they derive from built words as tuples:
+    neither builds a word, and only the kernel's raw-letters entry checks
+    letters again."""
+
+    @pytest.fixture
+    def spies(self, monkeypatch):
+        builds, checks = [], []
+        post_init, check = BraidWord.__post_init__, _kernel.check_letters
+
+        def built(w):
+            builds.append(w.strands)
+            post_init(w)
+
+        def checked(n, letters):
+            checks.append(sys._getframe(1).f_code.co_name)
+            return check(n, letters)
+
+        monkeypatch.setattr(BraidWord, "__post_init__", built)
+        # BraidWord reads the name words imported, left_normal_form its own
+        monkeypatch.setattr(_kernel, "check_letters", checked)
+        monkeypatch.setattr(words, "check_letters", checked)
+        return builds, checks
+
+    def test_garside_oracle_checks_only_the_middles(self, spies):
+        builds, checks = spies
+        u, v = BraidWord(3, (1, 2, 1)), BraidWord(3, (2, 1, 2))
+        del builds[:], checks[:]
+        assert equal_in_Bn(u, v)
+        assert builds == []
+        assert checks == ["left_normal_form", "left_normal_form"]
+
+    def test_lk_oracle_builds_and_checks_nothing(self, spies):
+        builds, checks = spies
+        # an EQUAL pair reaches the packed stage, a DISTINCT one stops at the
+        # certificate; sigma_1^-1 cancels sigma_1 across sigma_3
+        pairs = [
+            (BraidWord(3, (1, 2, 1)), BraidWord(3, (2, 1, 2))),
+            (BraidWord(4, (1, 3, -1)), BraidWord(4, (2,))),
+        ]
+        del builds[:], checks[:]
+        assert [equal_via_representation(u, v) for u, v in pairs] == [True, False]
+        assert builds == checks == []
 
 
 # letters outside 0 < |k| < 3: the kernel does not check them itself

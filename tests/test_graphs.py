@@ -90,6 +90,21 @@ class TestConstruction:
         with pytest.raises(GraphInputError, match="not a pair of integers"):
             SimpleGraph(4, frozenset({edge}))
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: SimpleGraph(3, {(True, 2), (2, 3)}),
+            lambda: from_edge_list(3, [(2, True), (2, 3)]),
+        ],
+        ids=["SimpleGraph", "from_edge_list"],
+    )
+    def test_bool_vertex_is_refused(self, build):
+        # True equals 1: the graph equalled and hashed like path(3), but
+        # edges_sorted gave (True, 2) and the pure presentation named its
+        # generator sTrue_2
+        with pytest.raises(GraphInputError, match=r"^edge \(True, 2\) is not a pair of integers$"):
+            build()
+
     def test_families(self):
         assert cycle(4).edges == frozenset({(1, 2), (2, 3), (3, 4), (1, 4)})
         assert path(3).edges == frozenset({(1, 2), (2, 3)})

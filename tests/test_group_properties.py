@@ -42,7 +42,6 @@ from chromabraid.words import (  # noqa: E402
     e_word,
     inverse,
     parse_word,
-    power,
     psi_a_word,
     psi_b_word,
     s_word,
@@ -301,7 +300,7 @@ indices = st.one_of(st.integers(-1, 5), st.sampled_from((1.5, 2.0)))
 
 @given(
     st.sampled_from((
-        "BraidWord", "parse_word", "a_word", "s_word", "e_word", "power",
+        "BraidWord", "parse_word", "a_word", "s_word", "e_word",
         "normal_form", "equal_in_Bn", "equal_via_representation", "i_star",
         "phi", "section", "edge_lk", "normal_form_in_BGamma", "DihedralElement",
     )),
@@ -312,15 +311,15 @@ indices = st.one_of(st.integers(-1, 5), st.sampled_from((1.5, 2.0)))
     graphs,
     images,
     st.tuples(indices, indices),
-    st.one_of(st.integers(-3, 3), st.just(1.5)),
+    st.booleans(),
     st.one_of(st.integers(-1, 8), st.just(4.0)),
 )
 def test_word_garside_and_chromatic_errors_are_domain_errors(
-    call, word, other, lk_word, lk_other, G, image, ij, e, order
+    call, word, other, lk_word, lk_other, G, image, ij, reflect, order
 ):
     # malformed input returns or raises a ChromabraidError: never the
-    # TypeError of a float letter, strand count, exponent or permutation
-    # value, nor an IndexError of a letter read as a list index
+    # TypeError of a float letter, strand count or permutation value, nor
+    # an IndexError of a letter read as a list index
     (n, letters), (m, others) = word, other
     i, j = ij
     calls = {
@@ -329,7 +328,6 @@ def test_word_garside_and_chromatic_errors_are_domain_errors(
         "a_word": lambda: a_word(i, j, n),
         "s_word": lambda: s_word(i, j, n),
         "e_word": lambda: e_word(i, j, n),
-        "power": lambda: power(BraidWord(n, letters), e),
         "normal_form": lambda: normal_form(BraidWord(n, letters)),
         "equal_in_Bn": lambda: equal_in_Bn(BraidWord(n, letters), BraidWord(m, others)),
         "equal_via_representation": lambda: equal_via_representation(
@@ -340,7 +338,7 @@ def test_word_garside_and_chromatic_errors_are_domain_errors(
         "section": lambda: section(Permutation(image), G),
         "edge_lk": lambda: edge_lk(BraidWord(n, letters), G),
         "normal_form_in_BGamma": lambda: normal_form_in_BGamma(BraidWord(n, letters), G),
-        "DihedralElement": lambda: DihedralElement(order, image[0], e == 1).to_perm(),
+        "DihedralElement": lambda: DihedralElement(order, image[0], reflect).to_perm(),
     }
     try:
         calls[call]()

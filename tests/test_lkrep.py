@@ -20,7 +20,9 @@ from chromabraid.errors import (
 )
 from chromabraid.garside import equal_in_Bn
 from chromabraid.lkrep import equal_via_representation, lk_matrix
-from chromabraid.words import BraidWord, concat, inverse, power
+from chromabraid.words import BraidWord, concat, inverse
+
+from braid_helpers import power
 
 
 class TestDefiningRelations:

@@ -75,13 +75,13 @@ def evaluated_row(w):
 
 @given(words())
 def test_certificate_is_the_exact_matrix_evaluated(w):
-    assert lkrep._certificate(w) == evaluated_row(w)
+    assert lkrep._certificate(w.strands, w.letters) == evaluated_row(w)
 
 
 @given(rewrite_pairs())
 def test_rewrite_equal_pairs_pass_the_certificate(pair):
     u, v = pair
-    assert lkrep._certificate(u) == lkrep._certificate(v)
+    assert lkrep._certificate(u.strands, u.letters) == lkrep._certificate(v.strands, v.letters)
     assert equal_via_representation(u, v)
 
 
@@ -149,7 +149,7 @@ def test_column_rules_weigh_at_most_five():
 def test_packed_matrix_has_one_column_per_pair():
     for n in range(2, 7):
         m = n * (n - 1) // 2
-        cols, offsets = lkrep._packed_matrix(BraidWord(n, (1, -1)), 2)
+        cols, offsets = lkrep._packed_matrix(n, (1, -1), 2)
         assert len(cols) == len(offsets) == m
         assert all(len(col) == m for col in cols)
 
@@ -243,7 +243,9 @@ def _whole_word_packed_equal(u, v):
     budget = max(len(u.letters), len(v.letters), 1)
     step = lkrep._layout(budget)[2]
     return lkrep._columns_equal(
-        lkrep._packed_matrix(u, budget), lkrep._packed_matrix(v, budget), step
+        lkrep._packed_matrix(u.strands, u.letters, budget),
+        lkrep._packed_matrix(v.strands, v.letters, budget),
+        step,
     )
 
 

@@ -3,9 +3,11 @@ production code, or is imported by the acceptance tests.
 
 A stdlib-only dead-code check in two parts.  It parses every .py file under
 src/, tests/ and perfbench/, and a name counts as read only where code
-refers to it: a definition is not a reading.  Dotted names in the string
-constants of perfbench/spans.py count as read, since the tracer looks its
-targets up by name.  Dunder methods are called by the language and exempt.
+refers to it: a definition is not a reading, and neither is a use of a
+function's own local that has a definition's name.  Dotted names in the
+string constants of perfbench/spans.py count as read, since the tracer looks
+its targets up by name.  Dunder methods are called by the language and
+exempt.
 
 - unused_definitions: a def or class of src/chromabraid that nothing reads.
 - read_only_by_tests: a definition that only tests/ read.  Reads in src/ and
@@ -32,19 +34,52 @@ def defined_names(tree):
     return [(name, line) for line, name in sorted(found)]
 
 
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def bound_names(scope):
+    """The names a function or lambda binds: its arguments and the names its
+    body stores to (assignment, loop and comprehension targets), nested
+    functions excluded."""
+    bound = {arg.arg for arg in ast.walk(scope.args) if isinstance(arg, ast.arg)}
+    todo = list(scope.body) if isinstance(scope.body, list) else [scope.body]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.add(node.id)
+        elif not isinstance(node, _SCOPES):
+            todo.extend(ast.iter_child_nodes(node))
+    return bound
+
+
 def read_names(tree, strings=False):
     """Names the tree reads: loaded or stored names, attributes, imports and,
-    with strings=True, each dotted part of a string constant."""
+    with strings=True, each dotted part of a string constant.  A name inside
+    a function that binds it is that function's local, not a read of a
+    module-level definition."""
     names = set()
-    for node in ast.walk(tree):
+    todo = [(tree, frozenset())]
+    while todo:
+        node, local = todo.pop()
+        if isinstance(node, _SCOPES):
+            body = node.body if isinstance(node.body, list) else [node.body]
+            inner = local | bound_names(node)
+            # decorators, defaults and annotations belong to the outer scope
+            todo += [
+                (child, inner if child in body else local)
+                for child in ast.iter_child_nodes(node)
+            ]
+            continue
         if isinstance(node, ast.Name):
-            names.add(node.id)
+            if node.id not in local:
+                names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
         elif isinstance(node, ast.alias):
             names.update(node.name.split("."))
         elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
             names.update(node.value.split("."))
+        todo += [(child, local) for child in ast.iter_child_nodes(node)]
     return names
 
 
@@ -130,6 +165,34 @@ def test_detects_unread_definitions(tmp_path):
     (tmp_path / "perfbench" / "run.py").write_text("NAME = 'dead'\n")
     (tmp_path / "perfbench" / "spans.py").write_text("TARGETS = ('mod.traced',)\n")
     assert unused_definitions(tmp_path) == ["mod.py:6 dead_method", "mod.py:12 dead"]
+
+
+def test_locals_do_not_read_definitions(tmp_path):
+    package = tmp_path / "src" / "chromabraid"
+    package.mkdir(parents=True)
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "perfbench").mkdir()
+    (package / "mod.py").write_text(
+        "def power():\n"
+        "    pass\n"
+        "def base():\n"
+        "    pass\n"
+        "def run():\n"
+        "    pass\n"
+        "def step():\n"
+        "    pass\n"
+        "def used():\n"
+        "    pass\n"
+        "def formatted(exp, base):\n"
+        "    power = exp * base\n"
+        "    for run in range(power):\n"
+        "        f = lambda step: step + run\n"
+        "    return [f(step) for step in range(power)], used()\n"
+    )
+    (tmp_path / "tests" / "test_mod.py").write_text("from chromabraid.mod import formatted\n")
+    assert unused_definitions(tmp_path) == [
+        "mod.py:1 power", "mod.py:3 base", "mod.py:5 run", "mod.py:7 step",
+    ]
 
 
 def test_no_definitions_only_tests_read():

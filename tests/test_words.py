@@ -18,7 +18,6 @@ from chromabraid.words import (
     inverse,
     parse_word,
     perm_of,
-    power,
     psi_a_word,
     psi_b_word,
     psi_r,
@@ -27,7 +26,7 @@ from chromabraid.words import (
     s_word,
 )
 
-from braid_helpers import half_twist_perm, transposition
+from braid_helpers import half_twist_perm, power, transposition
 
 
 def rand_word(rng, n, length):
@@ -294,12 +293,12 @@ class TestWordFamilies:
 class TestReducedMiddles:
     def test_cancels_across_far_letters_only(self):
         far, near = BraidWord(4, (1, 3, -1)), BraidWord(4, (1, 2, -1))
-        assert reduced_middles(far, BraidWord(4)) == (BraidWord(4, (3,)), BraidWord(4))
-        assert reduced_middles(near, BraidWord(4)) == (near, BraidWord(4))
+        assert reduced_middles(far, BraidWord(4)) == ((3,), ())
+        assert reduced_middles(near, BraidWord(4)) == (near.letters, ())
 
     def test_drops_common_prefix_and_suffix(self):
         u, v = BraidWord(5, (4, 1, 2, 1, 4)), BraidWord(5, (4, 2, 1, 2, 4))
-        assert reduced_middles(u, v) == (BraidWord(5, (1, 2, 1)), BraidWord(5, (2, 1, 2)))
+        assert reduced_middles(u, v) == ((1, 2, 1), (2, 1, 2))
 
     def test_strand_mismatch(self):
         with pytest.raises(StrandMismatchError):
@@ -310,8 +309,7 @@ class TestReducedMiddles:
         # strands: 20,000 letters, each cancelling across 499 far letters,
         # which a backward scan would take quadratic time over
         w = BraidWord(1000, tuple(range(1, 1000, 2)) * 20)
-        assert reduced_middles(concat(w, inverse(w)), BraidWord(1000)) == (
-            BraidWord(1000), BraidWord(1000))
+        assert reduced_middles(concat(w, inverse(w)), BraidWord(1000)) == ((), ())
 
 
 class TestConcatPower:
